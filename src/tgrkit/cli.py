@@ -14,17 +14,11 @@ import sys
 from pathlib import Path
 
 from .ctgr import closure_pc
-from .dumps import load_dump
+from .dumps import dump_text, load_dump
 from .errors import TgrkitError, TraceError
 from .grammars import KurodaGrammar, RegularGrammar, parse_grammar
-from .recompile import (
-    compile_kuroda,
-    dump_compiled_re,
-    simulate_derivation,
-    soundness_check,
-    trace_lines,
-)
-from .regcompile import compile_regular, complexity_report, dump_compiled_regular, equiv_check
+from .recompile import compile_kuroda, simulate_derivation, soundness_check, trace_lines
+from .regcompile import compile_regular, complexity_report, equiv_check
 from .tgr import closure, derivation_trace
 from .words import parse_language, word, word_text
 
@@ -71,10 +65,10 @@ def _caps_lines(args, k: bool = True) -> list[str]:
 
 def cmd_compile(args) -> int:
     if args.kind == "reg":
-        dump = dump_compiled_regular(compile_regular(_load_regular(args.grammar)))
+        cr = compile_regular(_load_regular(args.grammar))
     else:
-        dump = dump_compiled_re(compile_kuroda(_load_kuroda(args.grammar)))
-    _emit(args, dump)
+        cr = compile_kuroda(_load_kuroda(args.grammar))
+    _emit(args, dump_text(cr))
     return EXIT_OK
 
 
@@ -294,7 +288,8 @@ def main(argv=None) -> int:
     except OSError as exc:
         sys.stderr.write(f"{exc}\n")
         return EXIT_USAGE
-    except TgrkitError as exc:
+    except (TgrkitError, ValueError) as exc:
+        # Every ValueError the library raises is an argument check.
         sys.stderr.write(f"{exc}\n")
         return EXIT_USAGE
 

@@ -14,20 +14,20 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
+from typing import Iterator
 
 from .errors import FormatError
-from .words import (
-    Alphabet,
-    FiniteLanguage,
-    Word,
-    is_factor,
-    occurrences,
-    shortlex_key,
-    sort_words,
-    word,
-    word_text,
-)
-from .tgr import ClosureResult, InertTemplateWarning, _iterate_closure, splits
+from .tgr import ClosureResult, InertTemplateWarning, Split, closure, splits
+
+# A plain template is a contextual one with empty deletion and permitting
+# contexts, so both kinds share tgr's engine and the contextual names are
+# aliases.
+from .tgr import RecombinationEvent as PCRecombinationEvent
+from .tgr import recombine as recombine_pc
+from .tgr import step as step_pc
+from .tgr import step_events as step_pc_events
+from .words import Alphabet, FiniteLanguage, Word, shortlex_key, word, word_text
 
 HASH = "#"
 DOLLAR = "$"
@@ -174,237 +174,16 @@ class CTGRSystem:
                 stacklevel=2,
             )
 
-    @property
+    @cached_property
     def template_set(self) -> frozenset[PCTemplate]:
         return frozenset(self.templates)
 
-
-@dataclass(frozen=True)
-class PCRecombinationEvent:
-    """One contextual recombination.
-
-    Invariants: template.body = alpha+beta+gamma; x[pos_x:] starts with
-    alpha+beta+d1; y[pos_y:] starts with e1+beta+gamma; every c1 word is a
-    factor of x and every c2 word a factor of y; and
-    w = x[:pos_x]+alpha+beta+gamma+v with v following e1+beta+gamma in y.
-    """
-
-    x: Word
-    y: Word
-    template: PCTemplate
-    alpha: Word
-    beta: Word
-    gamma: Word
-    pos_x: int
-    pos_y: int
-    w: Word
+    def template_splits(self, tp: PCTemplate) -> Iterator[Split]:
+        """The splits of tp's body under the minima, with its deletion contexts in the needles."""
+        for alpha, beta, gamma in splits(tp.body, self.n1, self.n2):
+            yield tp, alpha, beta, gamma, alpha + beta + tp.d1, tp.e1 + beta + gamma, tp.c1, tp.c2
 
 
-def _contexts_ok(tp: PCTemplate, x: Word, y: Word) -> bool:
-    return all(is_factor(c, x) for c in tp.c1) and all(is_factor(c, y) for c in tp.c2)
-
-
-def recombine_pc(
-    sys: CTGRSystem, x: Word, y: Word, tp: PCTemplate, allow_unlisted: bool = False
-) -> frozenset[PCRecombinationEvent]:
-    """All contextual recombination events of x with y under template tp.
-
-    Tries every body split meeting the minima and every offset where
-    alpha+beta+d1 occurs in x and e1+beta+gamma occurs in y, subject to the
-    permitting-context factor checks on the whole words x and y.
-    """
-    if not allow_unlisted and tp not in sys.template_set:
-        raise ValueError("template is not in the system's template set")
-    if not _contexts_ok(tp, x, y):
-        return frozenset()
-    events = []
-    for alpha, beta, gamma in splits(tp.body, sys.n1, sys.n2):
-        xneedle = alpha + beta + tp.d1
-        yneedle = tp.e1 + beta + gamma
-        xs = occurrences(xneedle, x)
-        if not xs:
-            continue
-        keep = len(alpha) + len(beta)
-        drop = len(yneedle)
-        for oy in occurrences(yneedle, y):
-            v = y[oy + drop :]
-            for ox in xs:
-                events.append(
-                    PCRecombinationEvent(
-                        x=x,
-                        y=y,
-                        template=tp,
-                        alpha=alpha,
-                        beta=beta,
-                        gamma=gamma,
-                        pos_x=ox,
-                        pos_y=oy,
-                        w=x[: ox + keep] + gamma + v,
-                    )
-                )
-    return frozenset(events)
-
-
-class _StepIndex:
-    """Factor index over a growing word set, driving the template scan.
-
-    For each template split the two required factors (alpha+beta+d1 in x,
-    e1+beta+gamma in y) are looked up directly, so a template that cannot
-    fire costs one dictionary probe instead of a scan over all pairs.
-    Permitting-context checks are memoized per word, and a frontier
-    restricts pairs to those touching newly added words.
-    """
-
-    def __init__(self, sys: CTGRSystem):
-        self.sys = sys
-        self.plan: list[tuple[PCTemplate, Word, Word, Word, Word, Word]] = []
-        max_needle = 1
-        for tp in sys.templates:
-            for alpha, beta, gamma in splits(tp.body, sys.n1, sys.n2):
-                xneedle = alpha + beta + tp.d1
-                yneedle = tp.e1 + beta + gamma
-                self.plan.append((tp, alpha, beta, gamma, xneedle, yneedle))
-                max_needle = max(max_needle, len(xneedle), len(yneedle))
-        self.max_needle = max_needle
-        self.words: list[Word] = []
-        self.id_of: dict[Word, int] = {}
-        self.by_factor: dict[Word, set[int]] = {}
-        self._ctx_cache: dict[tuple[int, Word], bool] = {}
-
-    def add_words(self, new: list[Word]) -> None:
-        for w in new:
-            if w in self.id_of:
-                continue
-            idx = len(self.words)
-            self.words.append(w)
-            self.id_of[w] = idx
-            seen: set[Word] = set()
-            for i in range(len(w)):
-                for j in range(i + 1, min(i + self.max_needle, len(w)) + 1):
-                    seen.add(w[i:j])
-            for f in seen:
-                self.by_factor.setdefault(f, set()).add(idx)
-
-    def _ctx_filter(self, ids, contexts: frozenset[Word]) -> list[int]:
-        if not contexts:
-            return list(ids)
-        out = []
-        cache = self._ctx_cache
-        for i in ids:
-            ok = True
-            for c in contexts:
-                key = (i, c)
-                hit = cache.get(key)
-                if hit is None:
-                    hit = cache[key] = is_factor(c, self.words[i])
-                if not hit:
-                    ok = False
-                    break
-            if ok:
-                out.append(i)
-        return out
-
-    def run(
-        self,
-        frontier: set[Word] | None,
-        max_len: int | None = None,
-        collect: list[PCRecombinationEvent] | None = None,
-    ) -> tuple[set[Word], bool]:
-        produced: set[Word] = set()
-        truncated = False
-        words = self.words
-        empty: set[int] = set()
-        fids = (
-            None
-            if frontier is None
-            else {self.id_of[w] for w in frontier if w in self.id_of}
-        )
-        for tp, alpha, beta, gamma, xneedle, yneedle in self.plan:
-            xs = self.by_factor.get(xneedle, empty)
-            if not xs:
-                continue
-            ys = self.by_factor.get(yneedle, empty)
-            if not ys:
-                continue
-            if fids is None:
-                pairs = [(xi, yi) for xi in self._ctx_filter(xs, tp.c1)
-                         for yi in self._ctx_filter(ys, tp.c2)]
-            else:
-                fx = self._ctx_filter(xs & fids, tp.c1)
-                fy = self._ctx_filter(ys & fids, tp.c2)
-                pairs = []
-                if fx:
-                    pairs += [(xi, yi) for xi in fx for yi in self._ctx_filter(ys, tp.c2)]
-                if fy:
-                    rest = self._ctx_filter(xs - fids, tp.c1)
-                    pairs += [(xi, yi) for xi in rest for yi in fy]
-            keep = len(alpha) + len(beta)
-            drop = len(yneedle)
-            for xi, yi in pairs:
-                x, y = words[xi], words[yi]
-                for oy in occurrences(yneedle, y):
-                    v = y[oy + drop :]
-                    for ox in occurrences(xneedle, x):
-                        w = x[: ox + keep] + gamma + v
-                        if max_len is not None and len(w) > max_len:
-                            truncated = True
-                            continue
-                        produced.add(w)
-                        if collect is not None:
-                            collect.append(
-                                PCRecombinationEvent(
-                                    x=x,
-                                    y=y,
-                                    template=tp,
-                                    alpha=alpha,
-                                    beta=beta,
-                                    gamma=gamma,
-                                    pos_x=ox,
-                                    pos_y=oy,
-                                    w=w,
-                                )
-                            )
-        return produced, truncated
-
-
-def step_pc(sys: CTGRSystem, language: FiniteLanguage) -> FiniteLanguage:
-    """One application of the contextual operator over L x L x T."""
-    index = _StepIndex(sys)
-    index.add_words(sort_words(language.words))
-    produced, _ = index.run(None)
-    return FiniteLanguage(frozenset(produced), sys.alphabet)
-
-
-def step_pc_events(sys: CTGRSystem, language: FiniteLanguage) -> list[PCRecombinationEvent]:
-    """Like step_pc but returns the full event list (for audits and tests)."""
-    index = _StepIndex(sys)
-    index.add_words(sort_words(language.words))
-    events: list[PCRecombinationEvent] = []
-    index.run(None, collect=events)
-    return events
-
-
-def closure_pc(
-    sys: CTGRSystem,
-    initial: FiniteLanguage,
-    max_len: int,
-    max_rounds: int,
-    max_set_size: int = 200_000,
-) -> ClosureResult:
-    """Bounded iterated closure of the contextual operator; see tgr.closure.
-
-    Memory grows with the factor index, roughly max_len * max_needle entries
-    per word, so the set-size cap also bounds the index.
-    """
-    index = _StepIndex(sys)
-    indexed: set[Word] = set()
-
-    def step_fn(words: set[Word], frontier: set[Word] | None) -> tuple[set[Word], bool]:
-        fresh = sort_words(words - indexed)
-        index.add_words(fresh)
-        indexed.update(fresh)
-        return index.run(frontier, max_len)
-
-    return _iterate_closure(
-        step_fn, set(initial.words), sys.alphabet, max_len, max_rounds, max_set_size
-    )
+# tgr.closure with a lower default set-size cap: contextual closures grow fast.
+def closure_pc(sys, initial, max_len, max_rounds, max_set_size=200_000) -> ClosureResult:
+    return closure(sys, initial, max_len, max_rounds, max_set_size)

@@ -24,9 +24,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .ctgr import CTGRSystem, PCRecombinationEvent, PCTemplate, closure_pc, recombine_pc, tau
+from .dumps import dump_text
 from .errors import FormatError, TraceError
 from .grammars import KurodaGrammar, SearchCaps, Verdict, derivation_steps, membership
-from .patterns import Pattern, matches, pattern_text, seq, star, symbol_class
+from .patterns import Pattern, matches, seq, star, symbol_class
 from .words import FiniteLanguage, WeakCoding, Word, sort_words, word_text
 
 X = "X"
@@ -389,30 +390,4 @@ def soundness_check(
     )
 
 
-DUMP_KIND_CTGR = "ctgr"
-
-
-def dump_compiled_re(cr: CompiledRE) -> str:
-    lines = [
-        f"tgrkit-dump {DUMP_KIND_CTGR}",
-        f"n1 {cr.system.n1}",
-        f"n2 {cr.system.n2}",
-        "alphabet " + " ".join(sorted(cr.system.alphabet)),
-        "BASE",
-    ]
-    lines.extend(word_text(w) for w in cr.base)
-    lines.append("TEMPLATES")
-    lines.extend(word_text(tau(tp)) for tp in cr.system.templates)
-    lines.append("FILTER")
-    lines.append(pattern_text(cr.filter))
-    lines.append("CODING")
-    for sym in sorted(cr.coding.mapping):
-        image = cr.coding.mapping[sym]
-        lines.append(f"{sym} -> {image if image is not None else '@'}")
-    lines.append("PROVENANCE")
-    for w in sort_words(cr.base_provenance):
-        lines.append(f"base | {word_text(w)} | " + " ; ".join(cr.base_provenance[w]))
-    for w in sort_words(cr.template_provenance):
-        lines.append(f"template | {word_text(w)} | " + " ; ".join(cr.template_provenance[w]))
-    lines.append("END")
-    return "\n".join(lines) + "\n"
+dump_compiled_re = dump_text

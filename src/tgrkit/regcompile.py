@@ -13,11 +13,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .dumps import dump_text
 from .errors import FormatError
 from .grammars import RegularGrammar, SearchCaps, enumerate_language
-from .patterns import Pattern, pattern_text, seq, star, symbol_class, alt, matches
+from .patterns import Pattern, seq, star, symbol_class, alt, matches
 from .tgr import TGRSystem, closure
-from .words import FiniteLanguage, WeakCoding, Word, sort_words, word_text
+from .words import FiniteLanguage, WeakCoding, Word, sort_words
 
 END = "#"
 
@@ -211,33 +212,4 @@ def equiv_check(
     )
 
 
-# Dump format: line-oriented, sections BASE / TEMPLATES / FILTER / CODING /
-# PROVENANCE, words in the core word format, shortlex ordering throughout.
-
-DUMP_KIND_TGR = "tgr"
-
-
-def dump_compiled_regular(cr: CompiledRegular) -> str:
-    lines = [
-        f"tgrkit-dump {DUMP_KIND_TGR}",
-        f"n1 {cr.system.n1}",
-        f"n2 {cr.system.n2}",
-        "alphabet " + " ".join(sorted(cr.system.alphabet)),
-        "BASE",
-    ]
-    lines.extend(word_text(w) for w in cr.base)
-    lines.append("TEMPLATES")
-    lines.extend(word_text(w) for w in cr.system.templates)
-    lines.append("FILTER")
-    lines.append(pattern_text(cr.filter))
-    lines.append("CODING")
-    for sym in sorted(cr.coding.mapping):
-        image = cr.coding.mapping[sym]
-        lines.append(f"{sym} -> {image if image is not None else '@'}")
-    lines.append("PROVENANCE")
-    for w in sort_words(cr.base_provenance):
-        lines.append(f"base | {word_text(w)} | " + " ; ".join(cr.base_provenance[w]))
-    for w in sort_words(cr.template_provenance):
-        lines.append(f"template | {word_text(w)} | " + " ; ".join(cr.template_provenance[w]))
-    lines.append("END")
-    return "\n".join(lines) + "\n"
+dump_compiled_regular = dump_text

@@ -5,17 +5,41 @@ template parts (alpha and gamma), n2 bounds the shared overlap (beta).  A
 template t split as alpha.beta.gamma merges x = u.alpha.beta.d and
 y = e.beta.gamma.v into u.alpha.beta.gamma.v.  The closure iterates the
 one-step operator under an explicit word-length bound, which is the
-computable stand-in for the generally infinite full closure.
+computable stand-in for the generally infinite full closure.  A plain
+template is a contextual one (see ctgr) with empty deletion and permitting
+contexts, so everything here serves both system kinds through their
+`template_splits`.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import TYPE_CHECKING, Iterator, TypeAlias
 
 from .errors import ResourceLimitError
-from .words import Alphabet, FiniteLanguage, Word, occurrences, sort_words, word_text
+from .words import (
+    Alphabet,
+    FiniteLanguage,
+    Word,
+    is_factor,
+    occurrences,
+    shortlex_key,
+    sort_words,
+    word_text,
+)
+
+if TYPE_CHECKING:
+    from .ctgr import CTGRSystem, PCTemplate
+
+System: TypeAlias = "TGRSystem | CTGRSystem"
+# (template, alpha, beta, gamma, x-needle, y-needle, c1, c2): x must contain
+# the x-needle and every c1 word, y the y-needle and every c2 word.
+Split: TypeAlias = tuple
+# split id -> (new prefixes, new suffixes); a pair is (split id, prefix, suffix)
+Deltas: TypeAlias = dict[int, tuple[list[Word], list[Word]]]
+Pair: TypeAlias = tuple[int, Word, Word]
 
 
 class InertTemplateWarning(UserWarning):
@@ -44,19 +68,30 @@ class TGRSystem:
                 stacklevel=2,
             )
 
+    @property
+    def template_set(self) -> frozenset[Word]:
+        return self.templates.words
+
+    def template_splits(self, t: Word) -> Iterator[Split]:
+        """The splits of t under the minima; plain templates have no contexts."""
+        for alpha, beta, gamma in splits(t, self.n1, self.n2):
+            yield t, alpha, beta, gamma, alpha + beta, beta + gamma, frozenset(), frozenset()
+
 
 @dataclass(frozen=True)
 class RecombinationEvent:
-    """One recombination with its split and offsets.
+    """One recombination with its split and offsets, for either system kind.
 
-    Invariants: template = alpha+beta+gamma, x[pos_x:] starts with alpha+beta,
-    y[pos_y:] starts with beta+gamma, and w = x[:pos_x]+alpha+beta+gamma+v
-    where v is what follows beta+gamma in y.
+    Invariants: the template's body (a plain template is its own body) is
+    alpha+beta+gamma; x[pos_x:] starts with the split's x-needle and
+    y[pos_y:] with its y-needle; every permitting-context word of the
+    template occurs in its word; and w = x[:pos_x]+alpha+beta+gamma+v where
+    v is what follows the y-needle in y.
     """
 
     x: Word
     y: Word
-    template: Word
+    template: Word | PCTemplate
     alpha: Word
     beta: Word
     gamma: Word
@@ -73,130 +108,142 @@ def splits(t: Word, n1: int, n2: int) -> Iterator[tuple[Word, Word, Word]]:
             yield t[:i], t[i:j], t[j:]
 
 
+def _holds(contexts: frozenset[Word], w: Word) -> bool:
+    return all(is_factor(c, w) for c in contexts)
+
+
+def _event(sp: Split, x: Word, ox: int, y: Word, oy: int) -> RecombinationEvent:
+    t, alpha, beta, gamma, _xneedle, yneedle, _c1, _c2 = sp
+    w = x[: ox + len(alpha) + len(beta)] + gamma + y[oy + len(yneedle) :]
+    return RecombinationEvent(x, y, t, alpha, beta, gamma, ox, oy, w)
+
+
 def recombine(
-    sys: TGRSystem, x: Word, y: Word, t: Word, allow_unlisted: bool = False
+    sys: System, x: Word, y: Word, t: Word | PCTemplate, allow_unlisted: bool = False
 ) -> frozenset[RecombinationEvent]:
     """All recombination events of x with y guided by template t.
 
     Every split of t and every pair of match offsets yields one event;
     distinct events may produce equal result words.  Empty set when no
-    decomposition exists.
+    decomposition exists or a permitting context is missing.
     """
-    if not allow_unlisted and t not in sys.templates:
-        raise ValueError(f"template {word_text(t)!r} is not in the system's template set")
+    if not allow_unlisted and t not in sys.template_set:
+        raise ValueError("template is not in the system's template set")
     events = []
-    for alpha, beta, gamma in splits(t, sys.n1, sys.n2):
-        left, right = alpha + beta, beta + gamma
-        xs = occurrences(left, x)
-        if not xs:
-            continue
-        for oy in occurrences(right, y):
-            v = y[oy + len(right) :]
-            for ox in xs:
-                events.append(
-                    RecombinationEvent(
-                        x=x,
-                        y=y,
-                        template=t,
-                        alpha=alpha,
-                        beta=beta,
-                        gamma=gamma,
-                        pos_x=ox,
-                        pos_y=oy,
-                        w=x[: ox + len(left)] + gamma + v,
-                    )
-                )
+    for sp in sys.template_splits(t):
+        if not (_holds(sp[6], x) and _holds(sp[7], y)):
+            break  # every split of t carries the same contexts
+        xs = occurrences(sp[4], x)
+        if xs:
+            for oy in occurrences(sp[5], y):
+                events.extend(_event(sp, x, ox, y, oy) for ox in xs)
     return frozenset(events)
 
 
-def _step_words(
-    sys: TGRSystem,
-    words: set[Word],
-    record: dict[Word, RecombinationEvent],
-) -> set[Word]:
-    """Event-recording step over ordered pairs, used by derivation_trace.
+class _Engine:
+    """Per-split prefix and suffix sets over a growing word set.
 
-    The first discovering event per word is kept, in deterministic shortlex
-    processing order.
-    """
-    produced: set[Word] = set()
-    ordered = sort_words(words)
-    templates = sort_words(sys.templates.words)
-    for x in ordered:
-        for y in ordered:
-            for t in templates:
-                for ev in sorted(
-                    recombine(sys, x, y, t),
-                    key=lambda e: (e.pos_x, e.pos_y, len(e.beta), len(e.alpha)),
-                ):
-                    produced.add(ev.w)
-                    if ev.w not in record and ev.w not in words:
-                        record[ev.w] = ev
-    return produced
-
-
-class _PlainStepIndex:
-    """Per-split prefix/suffix sets over a growing word set.
-
-    A recombination result is x[:ox+|alpha beta|] + gamma + y[oy+|beta gamma|:],
-    so one step is the cross product of the distinct x-prefixes and distinct
-    y-suffixes per template split.  Collapsing duplicates before pairing keeps
-    the work proportional to the output, not to |L| squared.
+    A result is x[:ox+|alpha beta|] + gamma + y[oy+|y-needle|:] and
+    permitting contexts test whole words, so per split one step pairs the
+    distinct prefixes of words meeting c1 with the distinct suffixes of
+    words meeting c2: work follows the output, not |L| squared.  Each new
+    word is scanned once, over its factors up to the longest needle.  With
+    `keep_hits` each prefix and suffix keeps its (word, offset) sources.
     """
 
-    def __init__(self, sys: TGRSystem):
-        self.plan: list[tuple[Word, Word, Word]] = []  # (alpha+beta, beta+gamma, gamma)
-        for t in sort_words(sys.templates.words):
-            for alpha, beta, gamma in splits(t, sys.n1, sys.n2):
-                self.plan.append((alpha + beta, beta + gamma, gamma))
-        self.prefixes: list[set[Word]] = [set() for _ in self.plan]
-        self.suffixes: list[set[Word]] = [set() for _ in self.plan]
+    def __init__(self, sys: System, keep_hits: bool = False):
+        self.plan: list[Split] = [sp for t in sys.templates for sp in sys.template_splits(t)]
+        self.by_x: dict[Word, list[int]] = {}
+        self.by_y: dict[Word, list[int]] = {}
+        for i, sp in enumerate(self.plan):
+            self.by_x.setdefault(sp[4], []).append(i)
+            self.by_y.setdefault(sp[5], []).append(i)
+        self.top = max(map(len, [*self.by_x, *self.by_y]), default=0)
+        self.parts: tuple[dict[int, set[Word]], dict[int, set[Word]]] = ({}, {})
+        self.hits = ({}, {}) if keep_hits else None
 
-    def add_words(self, new: list[Word]) -> list[tuple[set[Word], set[Word]]]:
-        """Index new words; returns the per-split (new prefixes, new suffixes)."""
-        deltas = []
-        for i, (left, right, _gamma) in enumerate(self.plan):
-            dp = {
-                w[: ox + len(left)]
-                for w in new
-                for ox in occurrences(left, w)
-            } - self.prefixes[i]
-            ds = {
-                w[oy + len(right) :]
-                for w in new
-                for oy in occurrences(right, w)
-            } - self.suffixes[i]
-            self.prefixes[i] |= dp
-            self.suffixes[i] |= ds
-            deltas.append((dp, ds))
+    def add_words(self, new: list[Word]) -> Deltas:
+        """Index new words; returns the new prefixes and suffixes of each split they touch."""
+        deltas: Deltas = {}
+        plan, parts, hits = self.plan, self.parts, self.hits
+
+        def meets(contexts: frozenset[Word]) -> bool:
+            ok = memo.get(contexts)
+            if ok is None:
+                ok = memo[contexts] = _holds(contexts, w)
+            return ok
+
+        def note(side: int, i: int, part: Word, offset: int) -> None:
+            known = parts[side].setdefault(i, set())
+            if part not in known:
+                known.add(part)
+                deltas.setdefault(i, ([], []))[side].append(part)
+            if hits is not None:
+                hits[side].setdefault((i, part), []).append((w, offset))
+
+        for w in new:
+            memo: dict[frozenset[Word], bool] = {}  # permitting-context results for w
+            n = len(w)
+            for a in range(n):
+                for b in range(a + 1, min(a + self.top, n) + 1):
+                    f = w[a:b]
+                    for i in self.by_x.get(f, ()):
+                        _t, alpha, beta, _g, _xn, _yn, c1, _c2 = plan[i]
+                        if not c1 or meets(c1):
+                            note(0, i, w[: a + len(alpha) + len(beta)], a)
+                    for i in self.by_y.get(f, ()):
+                        c2 = plan[i][7]
+                        if not c2 or meets(c2):
+                            note(1, i, w[b:], a)
         return deltas
 
     def run(
-        self, deltas: list[tuple[set[Word], set[Word]]], max_len: int | None
+        self, deltas: Deltas, max_len: int | None, pairs: list[Pair] | None = None
     ) -> tuple[set[Word], bool]:
+        """New prefixes x all suffixes plus old prefixes x new suffixes, per split.
+
+        Results longer than max_len are dropped and reported by the flag;
+        `pairs` receives the (split id, prefix, suffix) of every kept one.
+        """
         produced: set[Word] = set()
         truncated = False
-        for i, (_left, _right, gamma) in enumerate(self.plan):
-            dp, ds = deltas[i]
-            old_p = self.prefixes[i] - dp
-            glen = len(gamma)
-            for pset, sset in ((dp, self.suffixes[i]), (old_p, ds)):
+        limit = math.inf if max_len is None else max_len
+        prefixes, suffixes = self.parts
+        for i, (dp, ds) in deltas.items():
+            gamma = self.plan[i][3]
+            old_p = prefixes.get(i, set()).difference(dp) if ds else ()
+            for pset, sset in ((dp, suffixes.get(i, ())), (old_p, ds)):
                 for p in pset:
-                    budget = None if max_len is None else max_len - len(p) - glen
+                    budget = limit - len(p) - len(gamma)
                     for s in sset:
-                        if budget is not None and len(s) > budget:
+                        if len(s) > budget:
                             truncated = True
                             continue
                         produced.add(p + gamma + s)
+                        if pairs is not None:
+                            pairs.append((i, p, s))
         return produced, truncated
 
+    def events(self, i: int, p: Word, s: Word) -> Iterator[RecombinationEvent]:
+        """Every event of split i whose x has prefix p and whose y has suffix s."""
+        for x, ox in self.hits[0][i, p]:
+            for y, oy in self.hits[1][i, s]:
+                yield _event(self.plan[i], x, ox, y, oy)
 
-def step(sys: TGRSystem, language: FiniteLanguage) -> FiniteLanguage:
+
+def step(sys: System, language: FiniteLanguage) -> FiniteLanguage:
     """One application of the recombination operator: all results over L x L x T."""
-    index = _PlainStepIndex(sys)
-    deltas = index.add_words(sort_words(language.words))
-    produced, _ = index.run(deltas, None)
+    engine = _Engine(sys)
+    produced, _ = engine.run(engine.add_words(sort_words(language.words)), None)
     return FiniteLanguage(frozenset(produced), sys.alphabet)
+
+
+def step_events(sys: System, language: FiniteLanguage) -> list[RecombinationEvent]:
+    """Like step but returns the full event list (for audits and tests)."""
+    engine = _Engine(sys, keep_hits=True)
+    pairs: list[Pair] = []
+    engine.run(engine.add_words(sort_words(language.words)), None, pairs)
+    return [ev for pair in pairs for ev in engine.events(*pair)]
 
 
 @dataclass(frozen=True)
@@ -207,49 +254,8 @@ class ClosureResult:
     truncated_by_length: bool
 
 
-def _iterate_closure(
-    step_fn: Callable[[set[Word], set[Word] | None], tuple[set[Word], bool]],
-    initial: set[Word],
-    alphabet: Alphabet,
-    max_len: int,
-    max_rounds: int,
-    max_set_size: int,
-) -> ClosureResult:
-    """Shared closure loop; step_fn returns (words of length <= max_len, truncated)."""
-    if any(len(w) > max_len for w in initial):
-        raise ValueError("max_len is smaller than the longest initial word")
-    if max_rounds < 0:
-        raise ValueError(f"max_rounds must be nonnegative, got {max_rounds}")
-    words = set(initial)
-    frontier: set[Word] | None = None
-    truncated = False
-    fixpoint = False
-    rounds = 0
-    for r in range(1, max_rounds + 1):
-        produced, trunc = step_fn(words, frontier)
-        truncated = truncated or trunc
-        rounds = r
-        new = produced - words
-        if not new:
-            fixpoint = True
-            break
-        if len(words) + len(new) > max_set_size:
-            raise ResourceLimitError(
-                f"closure would exceed {max_set_size} words "
-                f"({len(words)} + {len(new)} new in round {r})"
-            )
-        words |= new
-        frontier = new
-    return ClosureResult(
-        language=FiniteLanguage(frozenset(words), alphabet),
-        rounds_used=rounds,
-        reached_fixpoint=fixpoint,
-        truncated_by_length=truncated,
-    )
-
-
 def closure(
-    sys: TGRSystem,
+    sys: System,
     initial: FiniteLanguage,
     max_len: int,
     max_rounds: int,
@@ -261,22 +267,39 @@ def closure(
     bound; `truncated_by_length` means some produced word was discarded, so
     the approximation may be incomplete beyond that length.
     """
-    index = _PlainStepIndex(sys)
-    indexed: set[Word] = set()
-
-    def step_fn(words: set[Word], _frontier: set[Word] | None) -> tuple[set[Word], bool]:
-        fresh = sort_words(words - indexed)
-        deltas = index.add_words(fresh)
-        indexed.update(fresh)
-        return index.run(deltas, max_len)
-
-    return _iterate_closure(
-        step_fn, set(initial.words), sys.alphabet, max_len, max_rounds, max_set_size
+    if any(len(w) > max_len for w in initial.words):
+        raise ValueError("max_len is smaller than the longest initial word")
+    if max_rounds < 0:
+        raise ValueError(f"max_rounds must be nonnegative, got {max_rounds}")
+    engine = _Engine(sys)
+    words = set(initial.words)
+    fresh = sort_words(words)
+    truncated = fixpoint = False
+    r = 0
+    for r in range(1, max_rounds + 1):
+        produced, trunc = engine.run(engine.add_words(fresh), max_len)
+        truncated = truncated or trunc
+        new = produced - words
+        if not new:
+            fixpoint = True
+            break
+        if len(words) + len(new) > max_set_size:
+            raise ResourceLimitError(
+                f"closure would exceed {max_set_size} words "
+                f"({len(words)} + {len(new)} new in round {r})"
+            )
+        words |= new
+        fresh = sort_words(new)
+    return ClosureResult(
+        language=FiniteLanguage(frozenset(words), sys.alphabet),
+        rounds_used=r,
+        reached_fixpoint=fixpoint,
+        truncated_by_length=truncated,
     )
 
 
 def derivation_trace(
-    sys: TGRSystem,
+    sys: System,
     initial: FiniteLanguage,
     target: Word,
     max_len: int,
@@ -286,28 +309,42 @@ def derivation_trace(
     """A minimal-round event sequence deriving `target` from `initial`, if any.
 
     Each event's x and y are initial words or results of earlier events; the
-    last event yields `target`.  Words already in `initial` get an empty
+    last event yields `target`.  A word's event is the least one of the round
+    it first appears in, by shortlex x, shortlex y, template order, pos_x,
+    pos_y, |beta| and |alpha|.  Words already in `initial` get an empty
     trace; unreachable targets (within the caps) give None.
     """
     if target in initial.words:
         return ()
-    discovered: dict[Word, RecombinationEvent] = {}
-    rounds_of: dict[Word, int] = {}
+    rank = {t: i for i, t in enumerate(sys.templates)}
 
+    def key(ev: RecombinationEvent):
+        return (shortlex_key(ev.x), shortlex_key(ev.y), rank[ev.template],
+                ev.pos_x, ev.pos_y, len(ev.beta), len(ev.alpha))
+
+    engine = _Engine(sys, keep_hits=True)
+    found: dict[Word, tuple[int, RecombinationEvent]] = {}  # word -> (round, event)
     words = set(initial.words)
+    fresh = sort_words(words)
     for r in range(1, max_rounds + 1):
-        produced = _step_words(sys, words, record=discovered)
-        kept = {w for w in produced if len(w) <= max_len}
-        new = kept - words
-        for w in new:
-            rounds_of.setdefault(w, r)
-        if not new:
+        pairs: list[Pair] = []
+        engine.run(engine.add_words(fresh), max_len, pairs)
+        best: dict[Word, RecombinationEvent] = {}
+        for i, p, s in pairs:
+            w = p + engine.plan[i][3] + s
+            if w not in words:
+                ev = min(engine.events(i, p, s), key=key)
+                if w not in best or key(ev) < key(best[w]):
+                    best[w] = ev
+        if not best:
             break
-        if len(words) + len(new) > max_set_size:
+        if len(words) + len(best) > max_set_size:
             raise ResourceLimitError(f"closure would exceed {max_set_size} words in round {r}")
-        words |= new
+        found.update((w, (r, ev)) for w, ev in best.items())
+        words.update(best)
         if target in words:
             break
+        fresh = sort_words(best)
     if target not in words:
         return None
 
@@ -317,8 +354,6 @@ def derivation_trace(
         w = stack.pop()
         if w in initial.words or w in needed:
             continue
-        ev = discovered[w]
-        needed[w] = ev
+        ev = needed[w] = found[w][1]
         stack.extend((ev.x, ev.y))
-    ordered = sorted(needed.values(), key=lambda e: (rounds_of[e.w], e.w))
-    return tuple(ordered)
+    return tuple(sorted(needed.values(), key=lambda e: (found[e.w][0], e.w)))

@@ -181,3 +181,38 @@ def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["compile", "nonsense", "x"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("n1 1", "n1 x", "line 2: n1 must be a positive integer"),
+        ("n1 1", "n1 0", "line 2: n1 must be a positive integer"),
+        ("S -> @", "S ->", "bad coding line 'S ->'"),
+    ],
+)
+def test_closure_malformed_dump_is_usage_error(capsys, tmp_path, old, new, message):
+    dump = tmp_path / "d"
+    run(capsys, "compile", "reg", DATA / "astar_b.grammar", "--out", dump)
+    lines = dump.read_text().splitlines()
+    assert lines.count(old) == 1
+    dump.write_text("\n".join(new if line == old else line for line in lines) + "\n")
+    code, _, err = run(capsys, "closure", dump, "--max-len", 11)
+    assert code == 2
+    assert message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("check", "reg", DATA / "astar_b.grammar", "--k", -1), "nonnegative"),
+        (("closure", "DUMP", "--max-rounds", -1), "max_rounds must be nonnegative"),
+        (("closure", "DUMP", "--max-len", 2), "max_len is smaller than the longest initial word"),
+    ],
+)
+def test_bad_cap_is_usage_error(capsys, tmp_path, argv, message):
+    dump = tmp_path / "d"
+    run(capsys, "compile", "reg", DATA / "astar_b.grammar", "--out", dump)
+    code, _, err = run(capsys, *(dump if a == "DUMP" else a for a in argv))
+    assert code == 2
+    assert message in err and len(err.strip().splitlines()) == 1

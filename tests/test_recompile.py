@@ -258,8 +258,11 @@ def test_filtered_outputs_are_over_terminals(cr):
         assert all(s in cr.grammar.terminals for s in w)
 
 
-def test_dump_round_trip(cr):
+@pytest.mark.parametrize("name", ["anbn.kuroda", "single_a.kuroda"])
+def test_dump_round_trip(name):
+    cr = compile_kuroda(load_grammar(name))
     dump = dump_compiled_re(cr)
+    assert dump == dump_compiled_re(cr)  # byte-stable
     loaded = load_dump(dump)
     assert loaded.kind == "ctgr"
     assert loaded.base.words == cr.base.words

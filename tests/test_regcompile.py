@@ -199,8 +199,9 @@ def test_equiv_check_inconclusive_under_small_caps(astar_b):
     assert report.verdict == "inconclusive"
 
 
-def test_dump_round_trip(astar_b):
-    cr = compile_regular(astar_b)
+@pytest.mark.parametrize("name", CORPUS)
+def test_dump_round_trip(name):
+    cr = compile_regular(load_grammar(name))
     dump = dump_compiled_regular(cr)
     assert dump == dump_compiled_regular(cr)  # byte-stable
     loaded = load_dump(dump)
@@ -208,5 +209,5 @@ def test_dump_round_trip(astar_b):
     assert loaded.base.words == cr.base.words
     assert loaded.system.templates.words == cr.system.templates.words
     assert loaded.coding.mapping == dict(cr.coding.mapping)
-    for w in [word("S a S b #"), word("S b"), word("S # #")]:
+    for w in [word("S a S b #"), word("S b"), word("S # #"), *cr.base]:
         assert matches(loaded.filter, w) == matches(cr.filter, w)

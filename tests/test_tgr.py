@@ -224,3 +224,20 @@ def test_derivation_trace_events_chain():
 def test_inert_template_warning():
     with pytest.warns(InertTemplateWarning):
         system({word("a b")}, SIGMA, n1=1, n2=1)
+
+
+def test_derivation_trace_prefers_shortlex_least_x_then_y():
+    # In round 1, S a S b # comes from (S a S, X S b #), (S a S, Y S b #) and
+    # (S a S b c, X S b #) under a S b, and from (S a S b c, b #) under S b #.
+    # The least y alone would pick the S b # event; the trace keeps the
+    # shortlex-least x first, then the least y.
+    sys = system({word("a S b"), word("S b #")}, SIGMA)
+    start = lang(
+        {word("S a S"), word("S a S b c"), word("b #"), word("X S b #"), word("Y S b #")},
+        SIGMA,
+    )
+    trace = derivation_trace(sys, start, word("S a S b #"), 9, 3)
+    assert trace is not None and len(trace) == 1
+    (ev,) = trace
+    assert (ev.x, ev.y, ev.template) == (word("S a S"), word("X S b #"), word("a S b"))
+    assert (ev.pos_x, ev.pos_y) == (1, 1)
