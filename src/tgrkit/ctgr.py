@@ -71,7 +71,7 @@ def parse_tau(w: Word) -> PCTemplate:
     """Parse a tau word back into a template.
 
     Assumes "#", "$" and "&" do not occur in the template's own symbols,
-    which holds for every compiler-produced system.
+    which CTGRSystem enforces for its alphabet.
     """
     hashes = [i for i, s in enumerate(w) if s == HASH]
     dollars = [i for i, s in enumerate(w) if s == DOLLAR]
@@ -152,6 +152,10 @@ class CTGRSystem:
     def __post_init__(self):
         if self.n1 < 1 or self.n2 < 1:
             raise ValueError(f"length minima must be positive, got n1={self.n1}, n2={self.n2}")
+        # tau and parse_tau use these as separators, so they cannot be symbols.
+        reserved = self.alphabet & {HASH, DOLLAR, AMP}
+        if reserved:
+            raise ValueError(f"system alphabet contains tau separators: {sorted(reserved)}")
         for tp in self.templates:
             for w in (tp.e1, tp.body, tp.d1, *tp.c1, *tp.c2):
                 for sym in w:

@@ -22,11 +22,13 @@ which the tracer reports explicitly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
-from .ctgr import CTGRSystem, PCRecombinationEvent, PCTemplate, closure_pc, recombine_pc, tau
+from .ctgr import AMP, DOLLAR, HASH, CTGRSystem, PCRecombinationEvent, PCTemplate, closure_pc
+from .ctgr import recombine_pc, tau
 from .dumps import dump_text
 from .errors import FormatError, TraceError
-from .grammars import KurodaGrammar, SearchCaps, Verdict, derivation_steps, membership
+from .grammars import KurodaGrammar, Rule, SearchCaps, Verdict, derivation_steps, membership
 from .patterns import Pattern, matches, seq, star, symbol_class
 from .words import FiniteLanguage, WeakCoding, Word, sort_words, word_text
 
@@ -40,12 +42,78 @@ B1 = "B1"
 B2 = "B2"
 BLOCK: Word = (B, B1, B2)
 FIXED_MARKERS = frozenset({X, XP, Y, Z, ZP, B, B1, B2})
-RESERVED_TOKENS = frozenset({"#", "$", "&"})
+RESERVED_TOKENS = frozenset({HASH, DOLLAR, AMP})
+
+FREE: frozenset[Word] = frozenset()
+NEEDS_X = frozenset({(X,)})
+NEEDS_XP = frozenset({(XP,)})
+NEEDS_Y = frozenset({(Y,)})
 
 
 def rotating_marker(b: str) -> str:
     """The Y-variant that remembers the symbol currently being rotated."""
     return f"Y_{b}"
+
+
+def simulate_template(rule: Rule, c: str, a: str) -> PCTemplate:
+    """Group 1: rewrite the redex lhs sitting just before Y into rhs."""
+    return PCTemplate((Z,), (c, a) + rule.rhs + (Y,), rule.lhs + (Y,), NEEDS_X, FREE)
+
+
+def rotate1_template(b: str, c: str, a: str) -> PCTemplate:
+    """Group 2: cut the last content symbol b off, remembering it in Y_b."""
+    return PCTemplate((Z,), (c, a, rotating_marker(b)), (b, Y), NEEDS_X, FREE)
+
+
+def rotate2_template(b: str, d: str, e: str) -> PCTemplate:
+    """Group 3: prepend the remembered b, turning X into X'."""
+    return PCTemplate((X,), (XP, b, d, e), (Z,), FREE, frozenset({(rotating_marker(b),)}))
+
+
+def rotate3_template(b: str, c: str, a: str) -> PCTemplate:
+    """Group 4: turn Y_b back into Y."""
+    return PCTemplate((Z,), (c, a, Y), (rotating_marker(b),), NEEDS_XP, FREE)
+
+
+def rotate4_template(a: str, c: str) -> PCTemplate:
+    """Group 5: turn X' back into X."""
+    return PCTemplate((XP,), (X, a, c), (Z,), FREE, NEEDS_Y)
+
+
+def terminate_template(a: str, b: str, c: str) -> PCTemplate:
+    """Group 6: strip X and the block once the content is in original order."""
+    return PCTemplate((X, B, B1, B2, a), (a, b, c), (ZP,), FREE, NEEDS_Y)
+
+
+def partner(tp: PCTemplate) -> Word:
+    """The base word a group template recombines with the sentential form.
+
+    A template with a c1 context takes the form as x, so its partner is the
+    y `e1 + body[1:]`; otherwise it takes the form as y, and its partner is
+    the x `body[:-1] + d1`.
+    """
+    return tp.e1 + tp.body[1:] if tp.c1 else tp.body[:-1] + tp.d1
+
+
+def _groups(g: KurodaGrammar, u: list[str]) -> Iterator[tuple[PCTemplate, str, str]]:
+    """Every group template with its label and its partner's base label."""
+    for r in g.rules:
+        for a in u:
+            for c in u:
+                yield simulate_template(r, c, a), f"simulate {r.text()}", f"L2 {r.text()}"
+    for b in u:
+        for a in u:
+            for c in u:
+                yield rotate1_template(b, c, a), f"rotate-1 move {b}", "L3 rotate-1 partner"
+                yield rotate2_template(b, a, c), f"rotate-2 prepend {b}", "L4 rotate-2 partner"
+                yield (rotate3_template(b, c, a), f"rotate-3 restore after {b}",
+                       "L5 rotate-3 partner")
+    for a in u:
+        for c in u:
+            yield rotate4_template(a, c), "rotate-4 restore left marker", "L6 rotate-4 partner"
+        for b in u:
+            for c in u + [Y]:
+                yield terminate_template(a, b, c), "terminate", "L7 terminate partner"
 
 
 @dataclass(frozen=True)
@@ -71,78 +139,14 @@ def compile_kuroda(g: KurodaGrammar) -> CompiledRE:
         )
     v = u | {X, XP, Y, Z, ZP} | {rotating_marker(b) for b in u}
 
-    u_sorted = sorted(u)
-    free: frozenset[Word] = frozenset()
-    needs_x = frozenset({(X,)})
-    needs_xp = frozenset({(XP,)})
-    needs_y = frozenset({(Y,)})
-
-    tmpl_prov: dict[Word, list[str]] = {}
-    base_prov: dict[Word, list[str]] = {}
-
-    def add_template(tp: PCTemplate, label: str) -> None:
-        tmpl_prov.setdefault(tau(tp), []).append(label)
-
-    def add_base(w: Word, label: str) -> None:
-        base_prov.setdefault(w, []).append(label)
-
     templates: dict[Word, PCTemplate] = {}
-
-    def template(tp: PCTemplate, label: str) -> None:
-        templates[tau(tp)] = tp
-        add_template(tp, label)
-
-    for r in g.rules:
-        for a in u_sorted:
-            for c in u_sorted:
-                template(
-                    PCTemplate((Z,), (c, a) + r.rhs + (Y,), r.lhs + (Y,), needs_x, free),
-                    f"simulate {r.text()}",
-                )
-    for b in u_sorted:
-        yb = rotating_marker(b)
-        for a in u_sorted:
-            for c in u_sorted:
-                template(
-                    PCTemplate((Z,), (c, a, yb), (b, Y), needs_x, free),
-                    f"rotate-1 move {b}",
-                )
-                template(
-                    PCTemplate((Z,), (c, a, Y), (yb,), needs_xp, free),
-                    f"rotate-3 restore after {b}",
-                )
-        for d in u_sorted:
-            for e in u_sorted:
-                template(
-                    PCTemplate((X,), (XP, b, d, e), (Z,), free, frozenset({(yb,)})),
-                    f"rotate-2 prepend {b}",
-                )
-    for a in u_sorted:
-        for c in u_sorted:
-            template(
-                PCTemplate((XP,), (X, a, c), (Z,), free, needs_y),
-                "rotate-4 restore left marker",
-            )
-    for a in u_sorted:
-        for b in u_sorted:
-            for c in u_sorted + [Y]:
-                template(
-                    PCTemplate((X, B, B1, B2, a), (a, b, c), (ZP,), free, needs_y),
-                    "terminate",
-                )
-
-    start_word_ = (X,) + BLOCK + (g.start, Y)
-    add_base(start_word_, "L1 start")
-    for r in g.rules:
-        for a in u_sorted:
-            add_base((Z, a) + r.rhs + (Y,), f"L2 {r.text()}")
-    for a in u_sorted:
-        for b in u_sorted:
-            add_base((Z, a, rotating_marker(b)), "L3 rotate-1 partner")
-            add_base((XP, b, a, Z), "L4 rotate-2 partner")
-            add_base((a, b, ZP), "L7 terminate partner")
-        add_base((Z, a, Y), "L5 rotate-3 partner")
-        add_base((X, a, Z), "L6 rotate-4 partner")
+    tmpl_prov: dict[Word, list[str]] = {}
+    base_prov: dict[Word, list[str]] = {(X,) + BLOCK + (g.start, Y): ["L1 start"]}
+    for tp, label, base_label in _groups(g, sorted(u)):
+        key = tau(tp)
+        templates[key] = tp
+        tmpl_prov.setdefault(key, []).append(label)
+        base_prov.setdefault(partner(tp), []).append(base_label)
 
     system = CTGRSystem(templates=tuple(templates.values()), alphabet=frozenset(v), n1=1, n2=1)
     base = FiniteLanguage(frozenset(base_prov), frozenset(v))
@@ -186,19 +190,18 @@ def trace_lines(trace: SimulationTrace) -> list[str]:
     ]
 
 
-def _pick_event(
-    cr: CompiledRE, x: Word, y: Word, tp: PCTemplate, expected: Word, phase: str
-) -> PCRecombinationEvent:
-    """Re-derive the intended event through the engine; never fabricate one."""
+def _fire(cr: CompiledRE, phase: str, tp: PCTemplate, form: Word, expected: Word) -> TraceEvent:
+    """Re-derive the event of tp on the sentential form and its partner; never fabricate one."""
     if tp not in cr.system.template_set:
         raise TraceError(f"{phase}: required template {word_text(tau(tp))!r} is not in the system")
+    x, y = (form, partner(tp)) if tp.c1 else (partner(tp), form)
     hits = [ev for ev in recombine_pc(cr.system, x, y, tp) if ev.w == expected]
     if not hits:
         raise TraceError(
             f"{phase}: engine produced no event ({word_text(x)!r}, {word_text(y)!r}) "
             f"-> {word_text(expected)!r}"
         )
-    return min(hits, key=lambda e: (e.pos_x, e.pos_y, len(e.beta), len(e.alpha)))
+    return TraceEvent(phase, min(hits, key=lambda e: (e.pos_x, e.pos_y, len(e.beta), len(e.alpha))))
 
 
 def rotate_cycle(cr: CompiledRE, w: Word) -> tuple[list[TraceEvent], Word]:
@@ -211,39 +214,19 @@ def rotate_cycle(cr: CompiledRE, w: Word) -> tuple[list[TraceEvent], Word]:
     for sym in content:
         if sym not in cr.u_alphabet:
             raise TraceError(f"content symbol {sym!r} is not rotatable")
-    b = content[-1]
-    rest = content[:-1]
+    b, rest = content[-1], content[:-1]
     yb = rotating_marker(b)
+    rows = (
+        ("rotate-1", rotate1_template(b, rest[-2], rest[-1]), (X,) + rest + (yb,)),
+        ("rotate-2", rotate2_template(b, rest[0], rest[1]), (XP, b) + rest + (yb,)),
+        ("rotate-3", rotate3_template(b, rest[-2], rest[-1]), (XP, b) + rest + (Y,)),
+        ("rotate-4", rotate4_template(b, rest[0]), (X, b) + rest + (Y,)),
+    )
     events = []
-
-    tp1 = PCTemplate((Z,), (rest[-2], rest[-1], yb), (b, Y), frozenset({(X,)}), frozenset())
-    step1 = (X,) + rest + (yb,)
-    events.append(
-        TraceEvent("rotate-1", _pick_event(cr, w, (Z, rest[-1], yb), tp1, step1, "rotate-1"))
-    )
-
-    tp2 = PCTemplate((X,), (XP, b, rest[0], rest[1]), (Z,), frozenset(), frozenset({(yb,)}))
-    step2 = (XP, b) + rest + (yb,)
-    events.append(
-        TraceEvent("rotate-2", _pick_event(cr, (XP, b, rest[0], Z), step1, tp2, step2, "rotate-2"))
-    )
-
-    rotated = (b,) + rest
-    tp3 = PCTemplate((Z,), (rotated[-2], rotated[-1], Y), (yb,), frozenset({(XP,)}), frozenset())
-    step3 = (XP,) + rotated + (Y,)
-    events.append(
-        TraceEvent("rotate-3", _pick_event(cr, step2, (Z, rotated[-1], Y), tp3, step3, "rotate-3"))
-    )
-
-    tp4 = PCTemplate((XP,), (X, rotated[0], rotated[1]), (Z,), frozenset(), frozenset({(Y,)}))
-    step4 = (X,) + rotated + (Y,)
-    events.append(
-        TraceEvent("rotate-4", _pick_event(cr, (X, rotated[0], Z), step3, tp4, step4, "rotate-4"))
-    )
-
-    if step4 != (X, b) + rest + (Y,):
-        raise TraceError("rotation cycle did not produce X b w Y")
-    return events, step4
+    for phase, tp, expected in rows:
+        events.append(_fire(cr, phase, tp, w, expected))
+        w = expected
+    return events, w
 
 
 def simulate_derivation(
@@ -296,17 +279,12 @@ def simulate_derivation(
             budget()
 
     for (rule, pos), form in zip(steps, derivation):
-        lhs, rhs = rule.lhs, rule.rhs
-        target = form[pos + len(lhs) :] + BLOCK + form[:pos] + lhs
-        rotate_to(target)
+        n = len(rule.lhs)
+        rotate_to(form[pos + n :] + BLOCK + form[:pos] + rule.lhs)
         content = current[1:-1]
-        c, a = content[-len(lhs) - 2], content[-len(lhs) - 1]
-        tp = PCTemplate((Z,), (c, a) + rhs + (Y,), lhs + (Y,), frozenset({(X,)}), frozenset())
-        partner = (Z, a) + rhs + (Y,)
-        expected = (X,) + content[: -len(lhs)] + rhs + (Y,)
-        events.append(
-            TraceEvent("simulate", _pick_event(cr, current, partner, tp, expected, "simulate"))
-        )
+        c, a = content[-n - 2 : -n]
+        expected = (X,) + content[:-n] + rule.rhs + (Y,)
+        events.append(_fire(cr, "simulate", simulate_template(rule, c, a), current, expected))
         current = expected
         budget()
 
@@ -318,11 +296,8 @@ def simulate_derivation(
         )
     t1, t2 = terminal_word[0], terminal_word[1]
     c3 = terminal_word[2] if len(terminal_word) >= 3 else Y
-    tp6 = PCTemplate((X, B, B1, B2, t1), (t1, t2, c3), (ZP,), frozenset(), frozenset({(Y,)}))
     final = terminal_word + (Y,)
-    events.append(
-        TraceEvent("terminate", _pick_event(cr, (t1, t2, ZP), current, tp6, final, "terminate"))
-    )
+    events.append(_fire(cr, "terminate", terminate_template(t1, t2, c3), current, final))
     return SimulationTrace(derivation=derivation, events=tuple(events), final_word=final)
 
 
@@ -339,6 +314,8 @@ def pipeline_language_pc(
     fixpoint; the construction targets arbitrary recursively enumerable
     languages, so no cap ever makes the output complete in general.
     """
+    if k < 0:
+        raise ValueError(f"length bound must be nonnegative, got {k}")
     res = closure_pc(cr.system, cr.base, max_len, max_rounds, max_set_size)
     decoded = {
         cr.coding.apply(w) for w in res.language.words if matches(cr.filter, w)

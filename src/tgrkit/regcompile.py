@@ -119,6 +119,8 @@ def pipeline_language(
     encoding of a length-k word (2k+3 symbols); encodings only grow during
     the closure, so truncation beyond that bound cannot hide short words.
     """
+    if k < 0:
+        raise ValueError(f"length bound must be nonnegative, got {k}")
     res = closure(cr.system, cr.base, max_len, max_rounds, max_set_size)
     decoded = {
         cr.coding.apply(w)

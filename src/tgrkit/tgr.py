@@ -254,6 +254,13 @@ class ClosureResult:
     truncated_by_length: bool
 
 
+def _check_caps(initial: FiniteLanguage, max_len: int, max_rounds: int) -> None:
+    if any(len(w) > max_len for w in initial.words):
+        raise ValueError("max_len is smaller than the longest initial word")
+    if max_rounds < 0:
+        raise ValueError(f"max_rounds must be nonnegative, got {max_rounds}")
+
+
 def closure(
     sys: System,
     initial: FiniteLanguage,
@@ -267,10 +274,7 @@ def closure(
     bound; `truncated_by_length` means some produced word was discarded, so
     the approximation may be incomplete beyond that length.
     """
-    if any(len(w) > max_len for w in initial.words):
-        raise ValueError("max_len is smaller than the longest initial word")
-    if max_rounds < 0:
-        raise ValueError(f"max_rounds must be nonnegative, got {max_rounds}")
+    _check_caps(initial, max_len, max_rounds)
     engine = _Engine(sys)
     words = set(initial.words)
     fresh = sort_words(words)
@@ -314,6 +318,7 @@ def derivation_trace(
     pos_y, |beta| and |alpha|.  Words already in `initial` get an empty
     trace; unreachable targets (within the caps) give None.
     """
+    _check_caps(initial, max_len, max_rounds)
     if target in initial.words:
         return ()
     rank = {t: i for i, t in enumerate(sys.templates)}

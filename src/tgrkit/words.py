@@ -88,10 +88,6 @@ class FiniteLanguage:
                         f"word {word_text(w)!r} uses symbol {sym!r} outside the alphabet"
                     )
 
-    @classmethod
-    def of(cls, words: Iterable[Word], alphabet: Iterable[str]) -> "FiniteLanguage":
-        return cls(frozenset(words), make_alphabet(alphabet))
-
     def __iter__(self) -> Iterator[Word]:
         return iter(sort_words(self.words))
 
@@ -103,9 +99,6 @@ class FiniteLanguage:
 
     def sorted(self) -> list[Word]:
         return sort_words(self.words)
-
-    def union(self, other: "FiniteLanguage") -> "FiniteLanguage":
-        return FiniteLanguage(self.words | other.words, self.alphabet | other.alphabet)
 
     def to_text(self) -> str:
         """One word per line; refuses words whose first token is "#".
@@ -151,10 +144,6 @@ class WeakCoding:
     """
 
     mapping: Mapping[str, str | None]
-
-    @property
-    def domain(self) -> Alphabet:
-        return frozenset(self.mapping)
 
     def apply(self, w: Word) -> Word:
         out = []

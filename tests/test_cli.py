@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 from pathlib import Path
 
 import pytest
@@ -150,6 +151,27 @@ def test_trace_re_derivation(capsys):
     assert lines[0].startswith("simulate |")
 
 
+# SHA-256 of the output of `compile re` and `trace re`: the Kuroda construction
+# and its tracer must stay byte-identical under refactoring.
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (("compile", "re", DATA / "anbn.kuroda"),
+         "8543bdbfcf7954d9fe09e16120fa5fd540aeada7faabc1a55bd3c129f8d2b39d"),
+        (("compile", "re", DATA / "single_a.kuroda"),
+         "22b904cdba890500da6c8e4ca04d037106242273a0c2d318abe007388d986be9"),
+        (("trace", "re", DATA / "anbn.kuroda", "--derivation", DATA / "ab_deriv.txt"),
+         "93e259e64574dab6e52adcefe3d1775994288e9b4d15d332d73d49573243a0f1"),
+        (("trace", "re", DATA / "anbn.kuroda", "--derivation", DATA / "aabb_deriv.txt"),
+         "288a8565fa7e5ba80da48c83d5def6fd7f7db03a9bff3a515ffcf9385975c549"),
+    ],
+)
+def test_re_output_digest_is_pinned(capsys, argv, digest):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
 def test_trace_re_short_word_fails_loudly(capsys, tmp_path):
     deriv = tmp_path / "deriv"
     deriv.write_text("S\na\n")
@@ -208,6 +230,19 @@ def test_closure_malformed_dump_is_usage_error(capsys, tmp_path, old, new, messa
         (("check", "reg", DATA / "astar_b.grammar", "--k", -1), "nonnegative"),
         (("closure", "DUMP", "--max-rounds", -1), "max_rounds must be nonnegative"),
         (("closure", "DUMP", "--max-len", 2), "max_len is smaller than the longest initial word"),
+        (
+            ("trace", "reg", DATA / "astar_b.grammar", "--target", "S a S b #", "--max-len", 2),
+            "max_len is smaller than the longest initial word",
+        ),
+        (
+            ("trace", "reg", DATA / "astar_b.grammar", "--target", "S a S b #",
+             "--max-rounds", -1),
+            "max_rounds must be nonnegative",
+        ),
+        (
+            ("check", "re", DATA / "anbn.kuroda", "--k", -1, "--max-len", 10, "--max-rounds", 4),
+            "length bound must be nonnegative",
+        ),
     ],
 )
 def test_bad_cap_is_usage_error(capsys, tmp_path, argv, message):

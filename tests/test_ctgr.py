@@ -139,6 +139,14 @@ def test_tau_round_trip():
         assert parse_tau(tau(tp)) == tp
 
 
+@pytest.mark.parametrize("sym", ["#", "$", "&"])
+def test_system_rejects_tau_separators_in_its_alphabet(sym):
+    # With "&" a symbol, c1 = {a & b} and c1 = {a, b} would share one tau word.
+    tp = PCTemplate(("a",), ("a", "b", "a"), ("b",), frozenset({("a", sym, "b")}), frozenset())
+    with pytest.raises(ValueError, match="tau separators"):
+        pc_system([tp], alphabet=["a", "b", sym])
+
+
 def test_template_line_round_trip():
     tp = pc_template("Z", "c a v Y", "u Y", c1=["X", "a b"], c2=["@"])
     assert parse_template_line(template_line(tp)) == tp

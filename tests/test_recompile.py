@@ -35,6 +35,7 @@ from tgrkit.recompile import (
     Z,
     ZP,
     CompiledRE,
+    partner,
     rotate_cycle,
     rotating_marker,
     start_word,
@@ -85,6 +86,12 @@ def test_every_template_names_a_base_marker(cr):
         if any(l.startswith("L1") for l in labels):
             continue
         assert Z in w or ZP in w
+
+
+@pytest.mark.parametrize("name", ["anbn.kuroda", "single_a.kuroda"])
+def test_base_is_start_word_and_template_partners(name):
+    cr = compile_kuroda(load_grammar(name))
+    assert cr.base.words == {start_word(cr)} | {partner(tp) for tp in cr.system.templates}
 
 
 def test_compile_rejects_marker_clash():

@@ -21,6 +21,7 @@ from tgrkit import (
     pipeline_language,
     word,
 )
+from tgrkit import regcompile
 from tgrkit.grammars import Rule
 from tgrkit.words import make_alphabet
 
@@ -192,6 +193,15 @@ def test_equiv_check_flags_mutation(astar_b):
 def test_equiv_check_k0_trivial(astar_b):
     report = equiv_check(compile_regular(astar_b), astar_b, 0, max_len=3, max_rounds=4)
     assert report.verdict == "pass"
+
+
+def test_equiv_check_rejects_negative_k_before_the_closure(astar_b, monkeypatch):
+    def no_closure(*args, **kwargs):
+        raise AssertionError("the closure ran before k was checked")
+
+    monkeypatch.setattr(regcompile, "closure", no_closure)
+    with pytest.raises(ValueError, match="nonnegative"):
+        equiv_check(compile_regular(astar_b), astar_b, k=-1)
 
 
 def test_equiv_check_inconclusive_under_small_caps(astar_b):
