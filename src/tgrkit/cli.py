@@ -16,7 +16,7 @@ from pathlib import Path
 from .ctgr import closure_pc
 from .dumps import dump_text, load_dump
 from .errors import TgrkitError, TraceError
-from .grammars import KurodaGrammar, RegularGrammar, parse_grammar
+from .grammars import Grammar, KurodaGrammar, RegularGrammar, parse_grammar
 from .recompile import compile_kuroda, simulate_derivation, soundness_check, trace_lines
 from .regcompile import compile_regular, complexity_report, equiv_check
 from .tgr import closure, derivation_trace
@@ -39,17 +39,10 @@ def _emit(args, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _load_regular(path: str) -> RegularGrammar:
+def _load_grammar(path: str, cls: type[Grammar]) -> Grammar:
     g = parse_grammar(_read(path))
-    if not isinstance(g, RegularGrammar):
-        raise TgrkitError(f"{path}: expected a regular grammar, found {g.kind}")
-    return g
-
-
-def _load_kuroda(path: str) -> KurodaGrammar:
-    g = parse_grammar(_read(path))
-    if not isinstance(g, KurodaGrammar):
-        raise TgrkitError(f"{path}: expected a kuroda grammar, found {g.kind}")
+    if not isinstance(g, cls):
+        raise TgrkitError(f"{path}: expected a {cls.kind} grammar, found {g.kind}")
     return g
 
 
@@ -65,9 +58,9 @@ def _caps_lines(args, k: bool = True) -> list[str]:
 
 def cmd_compile(args) -> int:
     if args.kind == "reg":
-        cr = compile_regular(_load_regular(args.grammar))
+        cr = compile_regular(_load_grammar(args.grammar, RegularGrammar))
     else:
-        cr = compile_kuroda(_load_kuroda(args.grammar))
+        cr = compile_kuroda(_load_grammar(args.grammar, KurodaGrammar))
     _emit(args, dump_text(cr))
     return EXIT_OK
 
@@ -100,7 +93,7 @@ def cmd_closure(args) -> int:
 
 def cmd_check(args) -> int:
     if args.kind == "reg":
-        g = _load_regular(args.grammar)
+        g = _load_grammar(args.grammar, RegularGrammar)
         report = equiv_check(
             compile_regular(g),
             g,
@@ -126,7 +119,7 @@ def cmd_check(args) -> int:
             return EXIT_OK
         return EXIT_FAIL if report.verdict == "fail" else EXIT_INCONCLUSIVE
 
-    g = _load_kuroda(args.grammar)
+    g = _load_grammar(args.grammar, KurodaGrammar)
     report = soundness_check(
         compile_kuroda(g),
         g,
@@ -158,7 +151,7 @@ def cmd_trace(args) -> int:
     if args.kind == "reg":
         if not args.target:
             raise TgrkitError("trace reg needs --target")
-        g = _load_regular(args.grammar)
+        g = _load_grammar(args.grammar, RegularGrammar)
         cr = compile_regular(g)
         trace = derivation_trace(
             cr.system,
@@ -180,7 +173,7 @@ def cmd_trace(args) -> int:
 
     if not args.derivation:
         raise TgrkitError("trace re needs --derivation")
-    g = _load_kuroda(args.grammar)
+    g = _load_grammar(args.grammar, KurodaGrammar)
     cr = compile_kuroda(g)
     forms = [word(line) for line in _read(args.derivation).splitlines() if line.strip()]
     try:
@@ -193,7 +186,7 @@ def cmd_trace(args) -> int:
 
 
 def cmd_report(args) -> int:
-    g = _load_regular(args.grammar)
+    g = _load_grammar(args.grammar, RegularGrammar)
     rep = complexity_report(compile_regular(g), g)
     if args.format == "lines":
         out = [

@@ -44,8 +44,11 @@ class PCTemplate:
 
     def __post_init__(self):
         # Empty context words are vacuous; dropping them makes {} and {@} one value.
-        object.__setattr__(self, "c1", frozenset(w for w in self.c1 if w))
-        object.__setattr__(self, "c2", frozenset(w for w in self.c2 if w))
+        # A frozenset that needs no dropping is kept, so templates share their sets.
+        for name in ("c1", "c2"):
+            c = getattr(self, name)
+            if not isinstance(c, frozenset) or () in c:
+                object.__setattr__(self, name, frozenset(w for w in c if w))
 
 
 def tau(tp: PCTemplate) -> Word:

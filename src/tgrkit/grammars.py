@@ -221,41 +221,27 @@ def _regular_search(g: RegularGrammar, k: int, target: Word | None):
     dead because right-linear forms never shrink.
     """
     by_head = _rules_by_lhs_head(g)
-    start = ((), g.start)
-    parents: dict[tuple[Word, str | None], tuple[Word, str | None] | None] = {start: None}
+    start: Word = (g.start,)
+    parents: dict[Word, Word | None] = {start: None}
     found: set[Word] = set()
     queue = deque([start])
     while queue:
-        prefix, nt = queue.popleft()
-        if nt is None:
-            continue
-        for r in by_head.get(nt, ()):
-            rhs = r.rhs
-            if rhs == ():
-                nxt = (prefix, None)
-            elif len(rhs) == 1:
-                if len(prefix) + 1 > k:
-                    continue
-                nxt = (prefix + (rhs[0],), None)
-            else:
-                if len(prefix) + 1 > k:
-                    continue
-                nxt = (prefix + (rhs[0],), rhs[1])
-            if nxt in parents:
+        form = queue.popleft()
+        prefix = form[:-1]
+        for r in by_head.get(form[-1], ()):
+            if r.rhs and len(prefix) + 1 > k:
                 continue
-            parents[nxt] = (prefix, nt)
-            if nxt[1] is None:
-                found.add(nxt[0])
-                if target is not None and nxt[0] == target:
-                    return found, parents, nxt
+            new = prefix + r.rhs
+            if new in parents:
+                continue
+            parents[new] = form
+            if len(r.rhs) == 2:
+                queue.append(new)
             else:
-                queue.append(nxt)
+                found.add(new)
+                if new == target:
+                    return found, parents, new
     return found, parents, None
-
-
-def _form_of(state: tuple[Word, str | None]) -> Word:
-    prefix, nt = state
-    return prefix if nt is None else prefix + (nt,)
 
 
 def _kuroda_search(g: KurodaGrammar, k: int, caps: SearchCaps, target: Word | None):
@@ -277,8 +263,7 @@ def _kuroda_search(g: KurodaGrammar, k: int, caps: SearchCaps, target: Word | No
 
     frontier = [start]
     depth = 0
-    hit: Word | None = None
-    while frontier and hit is None:
+    while frontier:
         if depth >= caps.max_depth:
             capped = capped or any(
                 any(s not in terminals for s in form) for form in frontier
@@ -306,17 +291,12 @@ def _kuroda_search(g: KurodaGrammar, k: int, caps: SearchCaps, target: Word | No
                     if all(s in terminals for s in new):
                         if len(new) <= k:
                             found.add(new)
-                        if target is not None and new == target:
-                            hit = new
-                            break
+                        if new == target:
+                            return found, parents, new, not capped
                     nxt.append(new)
-                if hit is not None:
-                    break
-            if hit is not None:
-                break
         frontier = nxt
         depth += 1
-    return found, parents, hit, not capped
+    return found, parents, None, not capped
 
 
 def enumerate_language(
@@ -344,25 +324,17 @@ def membership(g: Grammar, w: Word, caps: SearchCaps | None = None) -> Membershi
             raise FormatError(f"word uses symbol {sym!r} outside the grammar's terminals")
     if isinstance(g, RegularGrammar):
         _, parents, hit = _regular_search(g, len(w), w)
-        if hit is None:
-            return MembershipVerdict(Verdict.NON_MEMBER)
-        chain = []
-        state: tuple[Word, str | None] | None = hit
-        while state is not None:
-            chain.append(_form_of(state))
-            state = parents[state]
-        return MembershipVerdict(Verdict.MEMBER, tuple(reversed(chain)))
-
-    caps = caps or SearchCaps()
-    _, parents, hit, closed = _kuroda_search(g, len(w), caps, w)
-    if hit is not None:
-        chain = []
-        form: Word | None = hit
-        while form is not None:
-            chain.append(form)
-            form = parents[form]
-        return MembershipVerdict(Verdict.MEMBER, tuple(reversed(chain)))
-    return MembershipVerdict(Verdict.NON_MEMBER if closed else Verdict.UNKNOWN)
+        closed = True
+    else:
+        _, parents, hit, closed = _kuroda_search(g, len(w), caps or SearchCaps(), w)
+    if hit is None:
+        return MembershipVerdict(Verdict.NON_MEMBER if closed else Verdict.UNKNOWN)
+    chain = []
+    form: Word | None = hit
+    while form is not None:
+        chain.append(form)
+        form = parents[form]
+    return MembershipVerdict(Verdict.MEMBER, tuple(reversed(chain)))
 
 
 def derivation_steps(g: Grammar, forms: Iterable[Word]) -> list[tuple[Rule, int]]:

@@ -2,13 +2,16 @@
 
 The pattern language is deliberately small - it is just enough to express
 the filters used by the compilers.  Matching is exact membership in the
-denoted regular set, decided by simulating a small nondeterministic
-automaton built once per pattern.
+denoted regular set, decided on the pattern tree itself: each node maps a
+set of start positions in the word to the set of positions where a match
+of that node can end, and the word matches when its length is among the
+end positions reached from 0.  A star nested d deep costs O(n^d) set steps
+on a word of length n; the compiled filters nest stars one deep.
 """
 
 from __future__ import annotations
 
-import functools
+import re
 from dataclasses import dataclass
 from typing import Iterable, Union as TUnion
 
@@ -41,10 +44,6 @@ class Union:
 Pattern = TUnion[Atom, Concat, Star, Union]
 
 
-def atom(*symbols: str) -> Atom:
-    return Atom(frozenset(check_symbol(s) for s in symbols))
-
-
 def symbol_class(symbols: Iterable[str]) -> Atom:
     return Atom(frozenset(check_symbol(s) for s in symbols))
 
@@ -61,81 +60,31 @@ def alt(*alts: Pattern) -> Union:
     return Union(tuple(alts))
 
 
-class _Nfa:
-    __slots__ = ("eps", "trans", "start", "accept")
-
-    def __init__(self):
-        self.eps: list[set[int]] = []
-        self.trans: list[list[tuple[frozenset[str], int]]] = []
-        self.start = 0
-        self.accept = 0
-
-    def new_state(self) -> int:
-        self.eps.append(set())
-        self.trans.append([])
-        return len(self.eps) - 1
-
-    def closure(self, states: set[int]) -> set[int]:
-        todo = list(states)
-        seen = set(states)
-        while todo:
-            s = todo.pop()
-            for t in self.eps[s]:
-                if t not in seen:
-                    seen.add(t)
-                    todo.append(t)
-        return seen
-
-
-def _build(nfa: _Nfa, p: Pattern) -> tuple[int, int]:
+def _ends(p: Pattern, w: Word, starts: set[int]) -> set[int]:
+    """The positions j such that w[i:j] is in `p` for some i in `starts`."""
     if isinstance(p, Atom):
-        a, b = nfa.new_state(), nfa.new_state()
-        nfa.trans[a].append((p.symbols, b))
-        return a, b
+        return {i + 1 for i in starts if i < len(w) and w[i] in p.symbols}
     if isinstance(p, Concat):
-        a = cur = nfa.new_state()
         for part in p.parts:
-            s, t = _build(nfa, part)
-            nfa.eps[cur].add(s)
-            cur = t
-        return a, cur
-    if isinstance(p, Star):
-        a = nfa.new_state()
-        s, t = _build(nfa, p.inner)
-        nfa.eps[a].add(s)
-        nfa.eps[t].add(a)
-        return a, a
+            starts = _ends(part, w, starts)
+        return starts
     if isinstance(p, Union):
-        a, b = nfa.new_state(), nfa.new_state()
-        for part in p.alts:
-            s, t = _build(nfa, part)
-            nfa.eps[a].add(s)
-            nfa.eps[t].add(b)
-        return a, b
+        return set().union(*(_ends(a, w, starts) for a in p.alts))
+    if isinstance(p, Star):
+        # Only positions not reached before go round again, so this ends
+        # even when the inner pattern matches the empty word.
+        reached = set(starts)
+        frontier = reached
+        while frontier:
+            frontier = _ends(p.inner, w, frontier) - reached
+            reached |= frontier
+        return reached
     raise TypeError(f"not a pattern: {p!r}")
-
-
-@functools.lru_cache(maxsize=None)
-def _compile(p: Pattern) -> _Nfa:
-    nfa = _Nfa()
-    nfa.start, nfa.accept = _build(nfa, p)
-    return nfa
 
 
 def matches(p: Pattern, w: Word) -> bool:
     """True iff `w` belongs to the regular set denoted by `p`."""
-    nfa = _compile(p)
-    current = nfa.closure({nfa.start})
-    for sym in w:
-        nxt = set()
-        for s in current:
-            for symbols, t in nfa.trans[s]:
-                if sym in symbols:
-                    nxt.add(t)
-        if not nxt:
-            return False
-        current = nfa.closure(nxt)
-    return nfa.accept in current
+    return len(w) in _ends(p, w, {0})
 
 
 # Textual form, used by the system dump format.  Grammar:
@@ -146,6 +95,7 @@ def matches(p: Pattern, w: Word) -> bool:
 # Symbol tokens may not contain the delimiter characters {},()|* or spaces.
 
 _DELIMS = set("{}(),|*")
+_TOKEN = re.compile(r"[{}(),|*]|[^\s{}(),|*]+")
 
 
 def pattern_text(p: Pattern) -> str:
@@ -165,28 +115,9 @@ def pattern_text(p: Pattern) -> str:
     return render(p, "top")
 
 
-def _lex(text: str) -> list[str]:
-    tokens = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif ch in "{}(),|*":
-            tokens.append(ch)
-            i += 1
-        else:
-            j = i
-            while j < len(text) and not text[j].isspace() and text[j] not in _DELIMS:
-                j += 1
-            tokens.append(text[i:j])
-            i = j
-    return tokens
-
-
 def parse_pattern(text: str) -> Pattern:
     """Parse the textual pattern form; inverse of `pattern_text`."""
-    tokens = _lex(text)
+    tokens = _TOKEN.findall(text)
     pos = 0
 
     def peek() -> str | None:

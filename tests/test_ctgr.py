@@ -170,6 +170,13 @@ def test_empty_and_lambda_context_sets_coincide():
     assert explicit == empty
 
 
+def test_context_sets_are_frozen_and_kept_when_clean():
+    needs_x = frozenset({word("X")})
+    tp = PCTemplate((), word("a b c"), (), {word("X"), ()}, needs_x)
+    assert type(tp.c1) is frozenset and tp.c1 == needs_x
+    assert tp.c2 is needs_x
+
+
 def test_step_pc_empty_templates():
     sys = pc_system([])
     assert step_pc(sys, lang({word("X B B1 B2 S Y")})).words == frozenset()

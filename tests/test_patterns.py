@@ -6,11 +6,11 @@ import random
 import pytest
 
 from tgrkit import FormatError, matches, parse_pattern, pattern_text, word
-from tgrkit.patterns import Atom, Concat, Star, Union, alt, atom, seq, star, symbol_class
+from tgrkit.patterns import Atom, Concat, Star, Union, alt, seq, star, symbol_class
 
 
 def naive_matches(p, w) -> bool:
-    """Backtracking membership oracle, independent of the automaton path."""
+    """Backtracking membership oracle, independent of the position walk."""
     if isinstance(p, Atom):
         return len(w) == 1 and w[0] in p.symbols
     if isinstance(p, Concat):
@@ -38,9 +38,9 @@ def encoding_filter():
     sigma = symbol_class("ab")
     nts = symbol_class(["S", "X"])
     return seq(
-        atom("S"),
+        symbol_class("S"),
         star(seq(sigma, nts)),
-        alt(seq(sigma, atom("#")), seq(atom("#"), atom("#"))),
+        alt(seq(sigma, symbol_class("#")), seq(symbol_class("#"), symbol_class("#"))),
     )
 
 
@@ -49,7 +49,7 @@ def test_matches_one_repetition():
 
 
 def test_matches_star_zero_repetitions():
-    p = seq(star(symbol_class("ab")), atom("Y"))
+    p = seq(star(symbol_class("ab")), symbol_class("Y"))
     assert matches(p, word("Y"))
     assert matches(p, word("a b Y"))
     assert not matches(p, word("Y a"))
@@ -76,12 +76,18 @@ def test_matches_agrees_with_backtracking_oracle():
             return Star(random_pattern(depth - 1))
         return Union(tuple(random_pattern(depth - 1) for _ in range(rng.randint(1, 3))))
 
-    for _ in range(15):
-        p = random_pattern(3)
-        for w in universe:
+    edge_cases = [
+        seq(),
+        alt(),
+        star(seq()),
+        star(star(symbol_class("a"))),
+        encoding_filter(),
+    ]
+    # "d" lies outside every atom of every pattern tried.
+    words = universe + [word("d"), word("a d"), word("d a b"), word("a b c d")]
+    for p in [random_pattern(3) for _ in range(15)] + edge_cases:
+        for w in words:
             assert matches(p, w) == naive_matches(p, w), (pattern_text(p), w)
-    for w in universe:
-        assert matches(encoding_filter(), w) == naive_matches(encoding_filter(), w)
 
 
 def test_pattern_text_round_trip():
@@ -91,6 +97,7 @@ def test_pattern_text_round_trip():
     for w in [word("S a X b #"), word("S # #"), word("S a X # #"), word("a"), ()]:
         assert matches(p, w) == matches(q, w)
     assert pattern_text(q) == text
+    assert parse_pattern("{a ,\tb}\n({c})*") == seq(symbol_class("ab"), star(symbol_class("c")))
 
 
 def test_parse_pattern_errors():

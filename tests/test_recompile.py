@@ -29,6 +29,7 @@ from tgrkit.recompile import (
     B1,
     B2,
     BLOCK,
+    NEEDS_X,
     X,
     XP,
     Y,
@@ -92,6 +93,11 @@ def test_every_template_names_a_base_marker(cr):
 def test_base_is_start_word_and_template_partners(name):
     cr = compile_kuroda(load_grammar(name))
     assert cr.base.words == {start_word(cr)} | {partner(tp) for tp in cr.system.templates}
+
+
+def test_compiled_templates_share_context_sets(cr):
+    needs_x = [tp.c1 for tp in cr.system.templates if tp.c1 == NEEDS_X]
+    assert needs_x and all(c is NEEDS_X for c in needs_x)
 
 
 def test_compile_rejects_marker_clash():
