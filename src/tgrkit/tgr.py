@@ -15,8 +15,9 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections import defaultdict
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator, TypeAlias
+from typing import TYPE_CHECKING, Collection, Iterable, Iterator, TypeAlias
 
 from .errors import ResourceLimitError
 from .words import (
@@ -112,6 +113,13 @@ def _holds(contexts: frozenset[Word], w: Word) -> bool:
     return all(is_factor(c, w) for c in contexts)
 
 
+def _by_length(words: Iterable[Word]) -> dict[int, list[Word]]:
+    out: dict[int, list[Word]] = {}
+    for w in words:
+        out.setdefault(len(w), []).append(w)
+    return out
+
+
 def _event(sp: Split, x: Word, ox: int, y: Word, oy: int) -> RecombinationEvent:
     t, alpha, beta, gamma, _xneedle, yneedle, _c1, _c2 = sp
     w = x[: ox + len(alpha) + len(beta)] + gamma + y[oy + len(yneedle) :]
@@ -146,55 +154,57 @@ class _Engine:
     A result is x[:ox+|alpha beta|] + gamma + y[oy+|y-needle|:] and
     permitting contexts test whole words, so per split one step pairs the
     distinct prefixes of words meeting c1 with the distinct suffixes of
-    words meeting c2: work follows the output, not |L| squared.  Each new
-    word is scanned once, over its factors up to the longest needle.  With
-    `keep_hits` each prefix and suffix keeps its (word, offset) sources.
+    words meeting c2: work follows the output, not |L| squared.  Each step
+    groups both sides by length, so a prefix meets only the suffixes that
+    fit in max_len beside it, and work follows the results kept.  Each new
+    word is scanned once, over its factors whose lengths are needle
+    lengths.  With `keep_hits` each prefix and suffix keeps its (word,
+    offset) sources.
     """
 
     def __init__(self, sys: System, keep_hits: bool = False):
         self.plan: list[Split] = [sp for t in sys.templates for sp in sys.template_splits(t)]
-        self.by_x: dict[Word, list[int]] = {}
-        self.by_y: dict[Word, list[int]] = {}
+        # needle -> ids of the splits with it as x-needle (side 0) or y-needle (side 1)
+        self.by_side: tuple[dict[Word, list[int]], dict[Word, list[int]]] = ({}, {})
         for i, sp in enumerate(self.plan):
-            self.by_x.setdefault(sp[4], []).append(i)
-            self.by_y.setdefault(sp[5], []).append(i)
-        self.top = max(map(len, [*self.by_x, *self.by_y]), default=0)
-        self.parts: tuple[dict[int, set[Word]], dict[int, set[Word]]] = ({}, {})
+            self.by_side[0].setdefault(sp[4], []).append(i)
+            self.by_side[1].setdefault(sp[5], []).append(i)
+        self.sizes = tuple(sorted({len(f) for side in self.by_side for f in side}))
+        self.cuts = [len(sp[1]) + len(sp[2]) for sp in self.plan]  # |alpha beta|
+        self.parts: tuple[dict[int, set[Word]], dict[int, set[Word]]] = (
+            defaultdict(set), defaultdict(set)
+        )
         self.hits = ({}, {}) if keep_hits else None
 
     def add_words(self, new: list[Word]) -> Deltas:
         """Index new words; returns the new prefixes and suffixes of each split they touch."""
         deltas: Deltas = {}
-        plan, parts, hits = self.plan, self.parts, self.hits
-
-        def meets(contexts: frozenset[Word]) -> bool:
-            ok = memo.get(contexts)
-            if ok is None:
-                ok = memo[contexts] = _holds(contexts, w)
-            return ok
-
-        def note(side: int, i: int, part: Word, offset: int) -> None:
-            known = parts[side].setdefault(i, set())
-            if part not in known:
-                known.add(part)
-                deltas.setdefault(i, ([], []))[side].append(part)
-            if hits is not None:
-                hits[side].setdefault((i, part), []).append((w, offset))
-
+        plan, by_side, sizes, cuts = self.plan, self.by_side, self.sizes, self.cuts
+        parts, hits = self.parts, self.hits
         for w in new:
             memo: dict[frozenset[Word], bool] = {}  # permitting-context results for w
             n = len(w)
             for a in range(n):
-                for b in range(a + 1, min(a + self.top, n) + 1):
-                    f = w[a:b]
-                    for i in self.by_x.get(f, ()):
-                        _t, alpha, beta, _g, _xn, _yn, c1, _c2 = plan[i]
-                        if not c1 or meets(c1):
-                            note(0, i, w[: a + len(alpha) + len(beta)], a)
-                    for i in self.by_y.get(f, ()):
-                        c2 = plan[i][7]
-                        if not c2 or meets(c2):
-                            note(1, i, w[b:], a)
+                for size in sizes:
+                    if a + size > n:
+                        break
+                    f = w[a : a + size]
+                    for side in (0, 1):
+                        for i in by_side[side].get(f, ()):
+                            contexts = plan[i][6 + side]
+                            if contexts:
+                                ok = memo.get(contexts)
+                                if ok is None:
+                                    ok = memo[contexts] = _holds(contexts, w)
+                                if not ok:
+                                    continue
+                            part = w[a + size :] if side else w[: a + cuts[i]]
+                            known = parts[side][i]
+                            if part not in known:
+                                known.add(part)
+                                deltas.setdefault(i, ([], []))[side].append(part)
+                            if hits is not None:
+                                hits[side].setdefault((i, part), []).append((w, a))
         return deltas
 
     def run(
@@ -213,15 +223,17 @@ class _Engine:
             gamma = self.plan[i][3]
             old_p = prefixes.get(i, set()).difference(dp) if ds else ()
             for pset, sset in ((dp, suffixes.get(i, ())), (old_p, ds)):
-                for p in pset:
-                    budget = limit - len(p) - len(gamma)
-                    for s in sset:
-                        if len(s) > budget:
-                            truncated = True
-                            continue
-                        produced.add(p + gamma + s)
-                        if pairs is not None:
-                            pairs.append((i, p, s))
+                by_len = _by_length(sset)
+                for n, ps in _by_length(pset).items():
+                    budget = limit - n - len(gamma)
+                    fits = [ss for m, ss in by_len.items() if m <= budget]
+                    truncated = truncated or len(fits) < len(by_len)
+                    for p in ps:
+                        pg = p + gamma
+                        for ss in fits:
+                            produced.update([pg + s for s in ss])
+                            if pairs is not None:
+                                pairs.extend([(i, p, s) for s in ss])
         return produced, truncated
 
     def events(self, i: int, p: Word, s: Word) -> Iterator[RecombinationEvent]:
@@ -254,11 +266,23 @@ class ClosureResult:
     truncated_by_length: bool
 
 
-def _check_caps(initial: FiniteLanguage, max_len: int, max_rounds: int) -> None:
+def _check_caps(initial: FiniteLanguage, max_len: int, max_rounds: int, max_set_size: int) -> None:
     if any(len(w) > max_len for w in initial.words):
         raise ValueError("max_len is smaller than the longest initial word")
     if max_rounds < 0:
         raise ValueError(f"max_rounds must be nonnegative, got {max_rounds}")
+    if max_set_size < len(initial.words):
+        raise ValueError(
+            f"max_set_size {max_set_size} is smaller than the {len(initial.words)} initial words"
+        )
+
+
+def _check_size(words: set[Word], new: Collection[Word], max_set_size: int, r: int) -> None:
+    if len(words) + len(new) > max_set_size:
+        raise ResourceLimitError(
+            f"closure would exceed {max_set_size} words "
+            f"({len(words)} + {len(new)} new in round {r})"
+        )
 
 
 def closure(
@@ -274,7 +298,7 @@ def closure(
     bound; `truncated_by_length` means some produced word was discarded, so
     the approximation may be incomplete beyond that length.
     """
-    _check_caps(initial, max_len, max_rounds)
+    _check_caps(initial, max_len, max_rounds, max_set_size)
     engine = _Engine(sys)
     words = set(initial.words)
     fresh = sort_words(words)
@@ -287,11 +311,7 @@ def closure(
         if not new:
             fixpoint = True
             break
-        if len(words) + len(new) > max_set_size:
-            raise ResourceLimitError(
-                f"closure would exceed {max_set_size} words "
-                f"({len(words)} + {len(new)} new in round {r})"
-            )
+        _check_size(words, new, max_set_size, r)
         words |= new
         fresh = sort_words(new)
     return ClosureResult(
@@ -316,9 +336,13 @@ def derivation_trace(
     last event yields `target`.  A word's event is the least one of the round
     it first appears in, by shortlex x, shortlex y, template order, pos_x,
     pos_y, |beta| and |alpha|.  Words already in `initial` get an empty
-    trace; unreachable targets (within the caps) give None.
+    trace; unreachable targets (within the caps) give None, and a target
+    symbol outside the system's alphabet raises ValueError.
     """
-    _check_caps(initial, max_len, max_rounds)
+    _check_caps(initial, max_len, max_rounds, max_set_size)
+    for sym in target:
+        if sym not in sys.alphabet:
+            raise ValueError(f"target symbol {sym!r} is outside the system alphabet")
     if target in initial.words:
         return ()
     rank = {t: i for i, t in enumerate(sys.templates)}
@@ -343,8 +367,7 @@ def derivation_trace(
                     best[w] = ev
         if not best:
             break
-        if len(words) + len(best) > max_set_size:
-            raise ResourceLimitError(f"closure would exceed {max_set_size} words in round {r}")
+        _check_size(words, best, max_set_size, r)
         found.update((w, (r, ev)) for w, ev in best.items())
         words.update(best)
         if target in words:

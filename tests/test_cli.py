@@ -172,6 +172,32 @@ def test_re_output_digest_is_pinned(capsys, argv, digest):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
+# SHA-256 of the output of `trace reg` and `closure`: the recombination engine
+# must produce the same bytes under optimisation.  A closure case names the kind
+# and grammar to compile; the closure truncates at its caps.
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (("trace", "reg", DATA / "astar_b.grammar", "--target", "S a S b #"),
+         "6ce8aac19fafd45b5f6fc2a979b31ff040d4e0aaae0392f10465a89dadfd427e"),
+        (("trace", "reg", DATA / "ends_ab.grammar", "--target", "S a S a A b #"),
+         "793876a222ade74ce25ba4c80cbff16eb8384fe7249da489caef283efb7ee289"),
+        (("closure", "reg", DATA / "ends_ab.grammar"),
+         "b11ef54d9c952caa90acb5803cf905dce038126c4a6f8f44938d049e9a0861c1"),
+        (("closure", "re", DATA / "anbn.kuroda"),
+         "7533eb23cc5b854078a33a5bcedbec287618af4baf16a3ed1877b00ade693c9c"),
+    ],
+)
+def test_engine_output_digest_is_pinned(capsys, tmp_path, argv, digest):
+    if argv[0] == "closure":
+        dump = tmp_path / "d"
+        run(capsys, "compile", argv[1], argv[2], "--out", dump)
+        argv = ("closure", dump, "--max-len", 14, "--max-rounds", 28, "--format", "lines")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
 def test_trace_re_short_word_fails_loudly(capsys, tmp_path):
     deriv = tmp_path / "deriv"
     deriv.write_text("S\na\n")
@@ -243,6 +269,15 @@ def test_closure_malformed_dump_is_usage_error(capsys, tmp_path, old, new, messa
             ("check", "re", DATA / "anbn.kuroda", "--k", -1, "--max-len", 10, "--max-rounds", 4),
             "length bound must be nonnegative",
         ),
+        (
+            ("trace", "reg", DATA / "astar_b.grammar", "--target", "S q #"),
+            "target symbol 'q' is outside the system alphabet",
+        ),
+        (
+            ("check", "reg", DATA / "astar_b.grammar", "--max-set-size", -3),
+            "max_set_size -3 is smaller than the 2 initial words",
+        ),
+        (("closure", "DUMP", "--max-set-size", 1), "max_set_size 1 is smaller than the 2"),
     ],
 )
 def test_bad_cap_is_usage_error(capsys, tmp_path, argv, message):

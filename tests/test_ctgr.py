@@ -189,6 +189,19 @@ def test_step_pc_simulation_example():
     assert got.words == {word("X B B1 B2 a Y")}
 
 
+def random_pc_templates(rng, syms, count):
+    return [
+        PCTemplate(
+            tuple(rng.choices(syms, k=rng.randint(0, 1))),
+            tuple(rng.choices(syms, k=rng.randint(1, 5))),
+            tuple(rng.choices(syms, k=rng.randint(0, 1))),
+            frozenset({tuple(rng.choices(syms, k=rng.randint(0, 1)))}),
+            frozenset({tuple(rng.choices(syms, k=rng.randint(0, 1)))}),
+        )
+        for _ in range(count)
+    ]
+
+
 def test_step_pc_agrees_with_naive_pair_loop():
     rng = random.Random(777)
     syms = ["a", "b", "c"]
@@ -197,18 +210,7 @@ def test_step_pc_agrees_with_naive_pair_loop():
             tuple(rng.choices(syms, k=rng.randint(0, 6)))
             for _ in range(rng.randint(1, 4))
         }
-        templates = []
-        for _ in range(rng.randint(0, 3)):
-            templates.append(
-                PCTemplate(
-                    tuple(rng.choices(syms, k=rng.randint(0, 1))),
-                    tuple(rng.choices(syms, k=rng.randint(1, 5))),
-                    tuple(rng.choices(syms, k=rng.randint(0, 1))),
-                    frozenset({tuple(rng.choices(syms, k=rng.randint(0, 1)))}),
-                    frozenset({tuple(rng.choices(syms, k=rng.randint(0, 1)))}),
-                )
-            )
-        sys = pc_system(templates, syms, quiet=True)
+        sys = pc_system(random_pc_templates(rng, syms, rng.randint(0, 3)), syms, quiet=True)
         expect = set()
         for x in words:
             for y in words:
@@ -255,3 +257,38 @@ def test_inert_contextual_template_warning():
             n1=1,
             n2=1,
         )
+
+
+def test_closure_pc_agrees_with_naive_pair_loop():
+    rng = random.Random(6062)
+    syms = ["a", "b"]
+    seen = set()
+    for _ in range(150):
+        words = {tuple(rng.choices(syms, k=rng.randint(0, 6))) for _ in range(rng.randint(1, 5))}
+        sys = pc_system(random_pc_templates(rng, syms, rng.randint(0, 3)), syms, quiet=True)
+        max_len = max(map(len, words)) + rng.randint(0, 2)
+        max_rounds = rng.randint(0, 3)
+        res = closure_pc(sys, lang(words, syms), max_len, max_rounds)
+        # round-by-round oracle: every (x, y, template) over the whole set
+        expect, truncated, fixpoint, r = set(words), False, False, 0
+        for r in range(1, max_rounds + 1):
+            produced = {
+                e.w
+                for x in expect
+                for y in expect
+                for tp in sys.templates
+                for e in recombine_pc(sys, x, y, tp)
+            }
+            truncated = truncated or any(len(w) > max_len for w in produced)
+            new = {w for w in produced if len(w) <= max_len} - expect
+            if not new:
+                fixpoint = True
+                break
+            expect |= new
+        assert res.language.words == frozenset(expect)
+        assert (res.rounds_used, res.reached_fixpoint, res.truncated_by_length) == (
+            r, fixpoint, truncated
+        )
+        seen.add((fixpoint, truncated))
+    # some cases truncate and some do not; some reach a fixpoint and some do not
+    assert {t for _, t in seen} == {f for f, _ in seen} == {False, True}

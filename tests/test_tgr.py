@@ -6,6 +6,7 @@ import warnings
 import pytest
 
 from tgrkit import FiniteLanguage, TGRSystem, closure, derivation_trace, recombine, step, word
+from tgrkit.errors import ResourceLimitError
 from tgrkit.tgr import InertTemplateWarning
 from tgrkit.words import make_alphabet
 
@@ -241,3 +242,74 @@ def test_derivation_trace_prefers_shortlex_least_x_then_y():
     (ev,) = trace
     assert (ev.x, ev.y, ev.template) == (word("S a S"), word("X S b #"), word("a S b"))
     assert (ev.pos_x, ev.pos_y) == (1, 1)
+
+
+def naive_closure(templates, words, max_len, max_rounds, n1=1, n2=1):
+    """Round-by-round oracle: every (x, y, t) over the whole set, cut at max_len."""
+    words, truncated, fixpoint, r = set(words), False, False, 0
+    for r in range(1, max_rounds + 1):
+        produced = set()
+        for x in words:
+            for y in words:
+                for t in templates:
+                    produced |= naive_recombine_words(x, y, t, n1, n2)
+        truncated = truncated or any(len(w) > max_len for w in produced)
+        new = {w for w in produced if len(w) <= max_len} - words
+        if not new:
+            fixpoint = True
+            break
+        words |= new
+    return words, r, fixpoint, truncated
+
+
+def test_closure_agrees_with_naive_oracle():
+    rng = random.Random(5150)
+    syms = ["a", "b"]
+    seen = set()
+    for _ in range(150):
+        words = {tuple(rng.choices(syms, k=rng.randint(0, 6))) for _ in range(rng.randint(1, 5))}
+        templates = {
+            tuple(rng.choices(syms, k=rng.randint(3, 4))) for _ in range(rng.randint(0, 3))
+        }
+        n2 = rng.choice([1, 1, 2])
+        max_len = max(map(len, words)) + rng.randint(0, 2)
+        max_rounds = rng.randint(0, 3)
+        sys = system(templates, syms, n2=n2, quiet=True)
+        res = closure(sys, lang(words, syms), max_len, max_rounds)
+        expect, rounds, fixpoint, truncated = naive_closure(
+            templates, words, max_len, max_rounds, n2=n2
+        )
+        assert res.language.words == frozenset(expect)
+        assert (res.rounds_used, res.reached_fixpoint, res.truncated_by_length) == (
+            rounds, fixpoint, truncated
+        )
+        seen.add((fixpoint, truncated))
+    # some cases truncate and some do not; some reach a fixpoint and some do not
+    assert {t for _, t in seen} == {f for f, _ in seen} == {False, True}
+
+
+def test_derivation_trace_rejects_target_outside_alphabet():
+    sys = system({word("a S a")}, SIGMA)
+    start = lang({word("S a S")}, SIGMA)
+    with pytest.raises(ValueError, match="'q'"):
+        derivation_trace(sys, start, word("S q #"), 11, 10)
+
+
+def test_set_size_cap_below_initial_language_is_rejected():
+    sys = system({word("a S a")}, SIGMA)
+    start = lang({word("S a S"), word("S b #"), word("a"), word("b")}, SIGMA)
+    with pytest.raises(ValueError, match="max_set_size 1 is smaller than the 4 initial words"):
+        closure(sys, start, max_len=10, max_rounds=0, max_set_size=1)
+    with pytest.raises(ValueError, match="max_set_size"):
+        derivation_trace(sys, start, word("S a S a S"), 10, 3, max_set_size=3)
+    assert closure(sys, start, max_len=10, max_rounds=0, max_set_size=4).language == start
+
+
+def test_resource_limit_reports_round_counts():
+    sys = system({word("a S a")}, SIGMA)
+    start = lang({word("S a S"), word("S b #")}, SIGMA)
+    message = r"closure would exceed 2 words \(2 \+ 1 new in round 1\)"
+    with pytest.raises(ResourceLimitError, match=message):
+        closure(sys, start, max_len=10, max_rounds=3, max_set_size=2)
+    with pytest.raises(ResourceLimitError, match=message):
+        derivation_trace(sys, start, word("S a S a S a S"), 10, 3, max_set_size=2)
