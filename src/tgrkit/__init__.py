@@ -41,13 +41,11 @@ from .tgr import (
 )
 from .ctgr import (
     CTGRSystem,
-    PCRecombinationEvent,
     PCTemplate,
     closure_pc,
     parse_tau,
     parse_template_file,
     recombine_pc,
-    step_pc,
     tau,
 )
 from .regcompile import (
@@ -56,7 +54,6 @@ from .regcompile import (
     EquivReport,
     compile_regular,
     complexity_report,
-    dump_compiled_regular,
     equiv_check,
     pipeline_language,
 )

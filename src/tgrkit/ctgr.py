@@ -21,12 +21,8 @@ from .errors import FormatError
 from .tgr import ClosureResult, InertTemplateWarning, Split, closure, splits
 
 # A plain template is a contextual one with empty deletion and permitting
-# contexts, so both kinds share tgr's engine and the contextual names are
-# aliases.
-from .tgr import RecombinationEvent as PCRecombinationEvent
+# contexts, so both kinds share tgr's engine; recombine_pc is an alias.
 from .tgr import recombine as recombine_pc
-from .tgr import step as step_pc
-from .tgr import step_events as step_pc_events
 from .words import Alphabet, FiniteLanguage, Word, shortlex_key, word, word_text
 
 HASH = "#"

@@ -24,12 +24,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .ctgr import AMP, DOLLAR, HASH, CTGRSystem, PCRecombinationEvent, PCTemplate, closure_pc
+from .ctgr import AMP, DOLLAR, HASH, CTGRSystem, PCTemplate, closure_pc
 from .ctgr import recombine_pc, tau
 from .dumps import dump_text
 from .errors import FormatError, TraceError
 from .grammars import KurodaGrammar, Rule, SearchCaps, Verdict, derivation_steps, membership
 from .patterns import Pattern, matches, seq, star, symbol_class
+from .tgr import RecombinationEvent
 from .words import FiniteLanguage, WeakCoding, Word, sort_words, word_text
 
 X = "X"
@@ -171,7 +172,7 @@ def start_word(cr: CompiledRE) -> Word:
 @dataclass(frozen=True)
 class TraceEvent:
     phase: str
-    event: PCRecombinationEvent
+    event: RecombinationEvent
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .dumps import dump_text
 from .errors import FormatError
 from .grammars import RegularGrammar, SearchCaps, enumerate_language
 from .patterns import Pattern, seq, star, symbol_class, alt, matches
@@ -213,5 +212,3 @@ def equiv_check(
         exhaustive=exhaustive,
     )
 
-
-dump_compiled_regular = dump_text

@@ -17,7 +17,7 @@ import math
 import warnings
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Collection, Iterable, Iterator, TypeAlias
+from typing import TYPE_CHECKING, Iterable, Iterator, TypeAlias
 
 from .errors import ResourceLimitError
 from .words import (
@@ -175,6 +175,7 @@ class _Engine:
             defaultdict(set), defaultdict(set)
         )
         self.hits = ({}, {}) if keep_hits else None
+        self.pairs: list[Pair] | None = None  # with keep_hits, the last run's kept pairs
 
     def add_words(self, new: list[Word]) -> Deltas:
         """Index new words; returns the new prefixes and suffixes of each split they touch."""
@@ -207,18 +208,17 @@ class _Engine:
                                 hits[side].setdefault((i, part), []).append((w, a))
         return deltas
 
-    def run(
-        self, deltas: Deltas, max_len: int | None, pairs: list[Pair] | None = None
-    ) -> tuple[set[Word], bool]:
+    def run(self, deltas: Deltas, max_len: int | None) -> tuple[set[Word], bool]:
         """New prefixes x all suffixes plus old prefixes x new suffixes, per split.
 
-        Results longer than max_len are dropped and reported by the flag;
-        `pairs` receives the (split id, prefix, suffix) of every kept one.
+        Results longer than max_len are dropped and reported by the flag; with
+        keep_hits, `pairs` lists the (split id, prefix, suffix) of every kept one.
         """
         produced: set[Word] = set()
         truncated = False
         limit = math.inf if max_len is None else max_len
         prefixes, suffixes = self.parts
+        pairs = self.pairs = None if self.hits is None else []
         for i, (dp, ds) in deltas.items():
             gamma = self.plan[i][3]
             old_p = prefixes.get(i, set()).difference(dp) if ds else ()
@@ -236,12 +236,6 @@ class _Engine:
                                 pairs.extend([(i, p, s) for s in ss])
         return produced, truncated
 
-    def events(self, i: int, p: Word, s: Word) -> Iterator[RecombinationEvent]:
-        """Every event of split i whose x has prefix p and whose y has suffix s."""
-        for x, ox in self.hits[0][i, p]:
-            for y, oy in self.hits[1][i, s]:
-                yield _event(self.plan[i], x, ox, y, oy)
-
 
 def step(sys: System, language: FiniteLanguage) -> FiniteLanguage:
     """One application of the recombination operator: all results over L x L x T."""
@@ -253,9 +247,10 @@ def step(sys: System, language: FiniteLanguage) -> FiniteLanguage:
 def step_events(sys: System, language: FiniteLanguage) -> list[RecombinationEvent]:
     """Like step but returns the full event list (for audits and tests)."""
     engine = _Engine(sys, keep_hits=True)
-    pairs: list[Pair] = []
-    engine.run(engine.add_words(sort_words(language.words)), None, pairs)
-    return [ev for pair in pairs for ev in engine.events(*pair)]
+    engine.run(engine.add_words(sort_words(language.words)), None)
+    xs, ys = engine.hits
+    return [_event(engine.plan[i], x, ox, y, oy) for i, p, s in engine.pairs
+            for x, ox in xs[i, p] for y, oy in ys[i, s]]
 
 
 @dataclass(frozen=True)
@@ -277,12 +272,25 @@ def _check_caps(initial: FiniteLanguage, max_len: int, max_rounds: int, max_set_
         )
 
 
-def _check_size(words: set[Word], new: Collection[Word], max_set_size: int, r: int) -> None:
-    if len(words) + len(new) > max_set_size:
-        raise ResourceLimitError(
-            f"closure would exceed {max_set_size} words "
-            f"({len(words)} + {len(new)} new in round {r})"
-        )
+def _rounds(
+    engine: _Engine, words: set[Word], max_len: int, max_rounds: int, max_set_size: int
+) -> Iterator[tuple[int, set[Word], bool]]:
+    """The closure's rounds: grows `words` in place, yields (round, new words, truncated).
+
+    Fresh words are indexed in shortlex order; the first round adding none is the last.
+    """
+    fresh = sort_words(words)
+    for r in range(1, max_rounds + 1):
+        produced, truncated = engine.run(engine.add_words(fresh), max_len)
+        new = produced - words
+        if len(words) + len(new) > max_set_size:
+            raise ResourceLimitError(f"closure would exceed {max_set_size} words "
+                                     f"({len(words)} + {len(new)} new in round {r})")
+        words |= new
+        yield r, new, truncated
+        if not new:
+            return
+        fresh = sort_words(new)
 
 
 def closure(
@@ -299,21 +307,10 @@ def closure(
     the approximation may be incomplete beyond that length.
     """
     _check_caps(initial, max_len, max_rounds, max_set_size)
-    engine = _Engine(sys)
     words = set(initial.words)
-    fresh = sort_words(words)
-    truncated = fixpoint = False
-    r = 0
-    for r in range(1, max_rounds + 1):
-        produced, trunc = engine.run(engine.add_words(fresh), max_len)
-        truncated = truncated or trunc
-        new = produced - words
-        if not new:
-            fixpoint = True
-            break
-        _check_size(words, new, max_set_size, r)
-        words |= new
-        fresh = sort_words(new)
+    r, fixpoint, truncated = 0, False, False
+    for r, new, trunc in _rounds(_Engine(sys), words, max_len, max_rounds, max_set_size):
+        fixpoint, truncated = not new, truncated or trunc
     return ClosureResult(
         language=FiniteLanguage(frozenset(words), sys.alphabet),
         rounds_used=r,
@@ -335,9 +332,11 @@ def derivation_trace(
     Each event's x and y are initial words or results of earlier events; the
     last event yields `target`.  A word's event is the least one of the round
     it first appears in, by shortlex x, shortlex y, template order, pos_x,
-    pos_y, |beta| and |alpha|.  Words already in `initial` get an empty
-    trace; unreachable targets (within the caps) give None, and a target
-    symbol outside the system's alphabet raises ValueError.
+    pos_y, |beta| and |alpha|.  A split fixes the template and its parts, and
+    a prefix or suffix fixes its word's offset, so per kept pair that is the
+    least x source with the least y source.  Words already in `initial` get
+    an empty trace; unreachable targets (within the caps, so any longer than
+    max_len) give None, and a target symbol outside the alphabet raises ValueError.
     """
     _check_caps(initial, max_len, max_rounds, max_set_size)
     for sym in target:
@@ -345,34 +344,32 @@ def derivation_trace(
             raise ValueError(f"target symbol {sym!r} is outside the system alphabet")
     if target in initial.words:
         return ()
+    if len(target) > max_len:
+        return None
     rank = {t: i for i, t in enumerate(sys.templates)}
 
     def key(ev: RecombinationEvent):
         return (shortlex_key(ev.x), shortlex_key(ev.y), rank[ev.template],
                 ev.pos_x, ev.pos_y, len(ev.beta), len(ev.alpha))
 
+    def least(sources: list[tuple[Word, int]]) -> tuple[Word, int]:
+        return min(sources, key=lambda src: shortlex_key(src[0]))
+
     engine = _Engine(sys, keep_hits=True)
     found: dict[Word, tuple[int, RecombinationEvent]] = {}  # word -> (round, event)
     words = set(initial.words)
-    fresh = sort_words(words)
-    for r in range(1, max_rounds + 1):
-        pairs: list[Pair] = []
-        engine.run(engine.add_words(fresh), max_len, pairs)
+    for r, new, _ in _rounds(engine, words, max_len, max_rounds, max_set_size):
         best: dict[Word, RecombinationEvent] = {}
-        for i, p, s in pairs:
+        for i, p, s in engine.pairs:
             w = p + engine.plan[i][3] + s
-            if w not in words:
-                ev = min(engine.events(i, p, s), key=key)
+            if w in new:
+                ev = _event(engine.plan[i], *least(engine.hits[0][i, p]),
+                            *least(engine.hits[1][i, s]))
                 if w not in best or key(ev) < key(best[w]):
                     best[w] = ev
-        if not best:
-            break
-        _check_size(words, best, max_set_size, r)
         found.update((w, (r, ev)) for w, ev in best.items())
-        words.update(best)
-        if target in words:
+        if target in new:
             break
-        fresh = sort_words(best)
     if target not in words:
         return None
 

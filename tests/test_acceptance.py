@@ -31,7 +31,6 @@ from tgrkit import (
     simulate_derivation,
     soundness_check,
     step,
-    step_pc,
     word,
 )
 from tgrkit.recompile import X, Y
@@ -167,7 +166,7 @@ def test_criterion_4_step_operator_oracle_equivalence():
         expect = naive_step(words, templates, 1, 1)
         got_plain = step(quiet_tgr(templates, syms), language)
         pcs = [PCTemplate((), t, (), frozenset(), frozenset()) for t in templates]
-        got_pc = step_pc(quiet_ctgr(pcs, syms), language)
+        got_pc = step(quiet_ctgr(pcs, syms), language)
         if got_plain.words != frozenset(expect) or got_pc.words != frozenset(expect):
             bad += 1
     report(4, "step operator oracle equivalence", bad == 0, "100 instances, plain and contextual")

@@ -186,6 +186,9 @@ def test_re_output_digest_is_pinned(capsys, argv, digest):
          "b11ef54d9c952caa90acb5803cf905dce038126c4a6f8f44938d049e9a0861c1"),
         (("closure", "re", DATA / "anbn.kuroda"),
          "7533eb23cc5b854078a33a5bcedbec287618af4baf16a3ed1877b00ade693c9c"),
+        (("trace", "reg", DATA / "ends_ab.grammar",
+          "--target", "S a S b S a S b S a S a S b S a A b #"),
+         "1c751ec5ce43086c08e9ea03d9950267d723879fcacf45159725ba3f684ccfaf"),
     ],
 )
 def test_engine_output_digest_is_pinned(capsys, tmp_path, argv, digest):

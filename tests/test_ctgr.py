@@ -15,13 +15,13 @@ from tgrkit import (
     parse_tau,
     recombine,
     recombine_pc,
-    step_pc,
+    step,
     tau,
     word,
     word_text,
 )
-from tgrkit.ctgr import parse_template_file, parse_template_line, step_pc_events, template_line
-from tgrkit.tgr import InertTemplateWarning
+from tgrkit.ctgr import parse_template_file, parse_template_line, template_line
+from tgrkit.tgr import InertTemplateWarning, step_events
 from tgrkit.words import make_alphabet
 
 SIGMA = ["X", "Z", "B", "B1", "B2", "S", "Y", "a", "b", "c", "v", "u", "Q"]
@@ -179,13 +179,13 @@ def test_context_sets_are_frozen_and_kept_when_clean():
 
 def test_step_pc_empty_templates():
     sys = pc_system([])
-    assert step_pc(sys, lang({word("X B B1 B2 S Y")})).words == frozenset()
+    assert step(sys, lang({word("X B B1 B2 S Y")})).words == frozenset()
 
 
 def test_step_pc_simulation_example():
     tp = pc_template("Z", "B1 B2 a Y", "S Y", c1=["X"])
     sys = pc_system([tp])
-    got = step_pc(sys, lang({word("X B B1 B2 S Y"), word("Z B2 a Y")}))
+    got = step(sys, lang({word("X B B1 B2 S Y"), word("Z B2 a Y")}))
     assert got.words == {word("X B B1 B2 a Y")}
 
 
@@ -216,7 +216,7 @@ def test_step_pc_agrees_with_naive_pair_loop():
             for y in words:
                 for tp in sys.templates:
                     expect |= {e.w for e in recombine_pc(sys, x, y, tp)}
-        got = step_pc(sys, lang(words, syms))
+        got = step(sys, lang(words, syms))
         assert got.words == frozenset(expect)
 
 
@@ -224,8 +224,8 @@ def test_step_pc_events_match_step_pc():
     tp = pc_template("Z", "B1 B2 a Y", "S Y", c1=["X"])
     sys = pc_system([tp])
     language = lang({word("X B B1 B2 S Y"), word("Z B2 a Y")})
-    events = step_pc_events(sys, language)
-    assert {e.w for e in events} == set(step_pc(sys, language).words)
+    events = step_events(sys, language)
+    assert {e.w for e in events} == set(step(sys, language).words)
     for ev in events:
         assert ev in recombine_pc(sys, ev.x, ev.y, ev.template)
 

@@ -23,7 +23,7 @@ from tgrkit import (
     word,
     word_text,
 )
-from tgrkit.ctgr import PCTemplate, closure_pc, step_pc_events
+from tgrkit.ctgr import PCTemplate, closure_pc
 from tgrkit.recompile import (
     B,
     B1,
@@ -42,6 +42,7 @@ from tgrkit.recompile import (
     start_word,
     trace_lines,
 )
+from tgrkit.tgr import step_events
 
 from conftest import load_grammar
 
@@ -228,7 +229,7 @@ def test_marker_discipline_on_closure_words(cr):
 
 def test_every_closure_event_touches_a_marked_base_word(cr):
     res = closure_pc(cr.system, cr.base, max_len=10, max_rounds=8, max_set_size=40_000)
-    for ev in step_pc_events(cr.system, res.language):
+    for ev in step_events(cr.system, res.language):
         assert any(
             p in cr.base.words and (Z in p or ZP in p) for p in (ev.x, ev.y)
         )

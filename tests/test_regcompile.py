@@ -12,7 +12,6 @@ from tgrkit import (
     closure,
     compile_regular,
     complexity_report,
-    dump_compiled_regular,
     enumerate_language,
     equiv_check,
     load_dump,
@@ -22,6 +21,7 @@ from tgrkit import (
     word,
 )
 from tgrkit import regcompile
+from tgrkit.dumps import dump_text
 from tgrkit.grammars import Rule
 from tgrkit.words import make_alphabet
 
@@ -212,8 +212,8 @@ def test_equiv_check_inconclusive_under_small_caps(astar_b):
 @pytest.mark.parametrize("name", CORPUS)
 def test_dump_round_trip(name):
     cr = compile_regular(load_grammar(name))
-    dump = dump_compiled_regular(cr)
-    assert dump == dump_compiled_regular(cr)  # byte-stable
+    dump = dump_text(cr)
+    assert dump == dump_text(cr)  # byte-stable
     loaded = load_dump(dump)
     assert loaded.kind == "tgr"
     assert loaded.base.words == cr.base.words

@@ -1,8 +1,12 @@
 from __future__ import annotations
 
+import importlib
+import importlib.util
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).parent.parent / "src" / "tgrkit"
+BENCH = Path(__file__).parent.parent / "tgrbench"
 
 
 def test_source_lines_fit_in_100_characters():
@@ -13,3 +17,33 @@ def test_source_lines_fit_in_100_characters():
         if len(line) > 100
     ]
     assert not long_lines
+
+
+def bench_module(monkeypatch, name):
+    """Import tgrbench/<name>.py without writing bytecode next to it."""
+    spec = importlib.util.spec_from_file_location(f"tgrbench_{name}", BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # dataclasses look it up
+    spec.loader.exec_module(module)
+    return module
+
+
+def resolves(module: str, *path: str) -> bool:
+    obj = importlib.import_module(f"tgrkit.{module}")
+    for attr in path:
+        if not hasattr(obj, attr):
+            return False
+        obj = getattr(obj, attr)
+    return True
+
+
+def test_benchmark_capture_points_exist(monkeypatch):
+    # The benchmark wraps these names where their callers look them up, so
+    # deleting or renaming one breaks `tgrbench/run.py`.
+    tracing = bench_module(monkeypatch, "tracing")
+    workloads = bench_module(monkeypatch, "workloads")
+    points = [(mod, attr) for mod, attr, *_ in tracing.COLD + tracing.HOT + workloads.CAPTURES]
+    points += [(mod, cls, attr) for mod, cls, attr, _ in tracing.HOT_METHODS]
+    missing = [p for p in points if not resolves(*p)]
+    assert points and not missing, missing

@@ -1,14 +1,17 @@
 from __future__ import annotations
 
+import itertools
 import random
 import warnings
 
 import pytest
 
-from tgrkit import FiniteLanguage, TGRSystem, closure, derivation_trace, recombine, step, word
+from tgrkit import FiniteLanguage, TGRSystem, closure, derivation_trace, recombine, step, tgr, word
 from tgrkit.errors import ResourceLimitError
 from tgrkit.tgr import InertTemplateWarning
-from tgrkit.words import make_alphabet
+from tgrkit.words import make_alphabet, shortlex_key
+
+from test_ctgr import pc_system, random_pc_templates
 
 
 def system(templates, alphabet, n1=1, n2=1, quiet=False):
@@ -313,3 +316,85 @@ def test_resource_limit_reports_round_counts():
         closure(sys, start, max_len=10, max_rounds=3, max_set_size=2)
     with pytest.raises(ResourceLimitError, match=message):
         derivation_trace(sys, start, word("S a S a S a S"), 10, 3, max_set_size=2)
+
+
+def test_derivation_trace_gives_none_for_a_target_over_max_len_before_any_round(monkeypatch):
+    def no_engine(*args, **kwargs):
+        raise AssertionError("no round can reach a target longer than max_len")
+
+    monkeypatch.setattr(tgr, "_Engine", no_engine)
+    sys = system({word("a S a")}, SIGMA)
+    start = lang({word("S a S")}, SIGMA)
+    assert derivation_trace(sys, start, word("S a S a S a S"), 6, 10) is None
+
+
+def naive_trace_rounds(sys, words, max_len, max_rounds):
+    """Round-by-round oracle: word -> (round, least event by the documented key)
+    over every recombine event of the round's whole set."""
+    rank = {t: i for i, t in enumerate(sys.templates)}
+
+    def key(ev):
+        return (shortlex_key(ev.x), shortlex_key(ev.y), rank[ev.template],
+                ev.pos_x, ev.pos_y, len(ev.beta), len(ev.alpha))
+
+    found, words = {}, set(words)
+    for r in range(1, max_rounds + 1):
+        best = {}
+        for x, y, t in itertools.product(words, words, sys.templates):
+            for ev in recombine(sys, x, y, t):
+                if len(ev.w) > max_len or ev.w in words:
+                    continue
+                if ev.w not in best or key(ev) < key(best[ev.w]):
+                    best[ev.w] = ev
+        if not best:
+            break
+        found.update((w, (r, ev)) for w, ev in best.items())
+        words |= best.keys()
+    return found
+
+
+def naive_trace(found, initial, target):
+    if target in initial:
+        return ()
+    if target not in found:
+        return None
+    needed, stack = {}, [target]
+    while stack:
+        w = stack.pop()
+        if w not in initial and w not in needed:
+            ev = needed[w] = found[w][1]
+            stack += [ev.x, ev.y]
+    return tuple(sorted(needed.values(), key=lambda e: (found[e.w][0], e.w)))
+
+
+def test_derivation_trace_agrees_with_naive_oracle():
+    rng = random.Random(4242)
+    kinds, traced, deep = set(), 0, 0
+    for case in range(800):
+        syms = ["a", "b", "c"][: 2 + case % 2]
+        words = {tuple(rng.choices(syms, k=rng.randint(0, 6))) for _ in range(rng.randint(1, 5))}
+        if case % 2:
+            sys = pc_system(random_pc_templates(rng, syms, rng.randint(0, 3)), syms, quiet=True)
+        else:
+            templates = {
+                tuple(rng.choices(syms, k=rng.randint(3, 4))) for _ in range(rng.randint(0, 3))
+            }
+            sys = system(templates, syms, n2=rng.choice([1, 2]), quiet=True)
+        max_len = max(map(len, words)) + rng.randint(0, 2)
+        max_rounds = rng.randint(0, 4)
+        found = naive_trace_rounds(sys, words, max_len, max_rounds)
+        unreachable = next(
+            w
+            for n in itertools.count()
+            for w in itertools.product(syms, repeat=n)
+            if w not in words and w not in found
+        )
+        for target in sorted(words | found.keys() | {unreachable}, key=shortlex_key):
+            got = derivation_trace(sys, lang(words, syms), target, max_len, max_rounds)
+            assert got == naive_trace(found, words, target), (case, target)
+            traced += bool(got)
+            deep += bool(got) and len(got) > 1
+        kinds.add((case % 2, bool(found)))
+    # both system kinds reach new words or none; many traces chain several events
+    assert kinds == {(0, False), (0, True), (1, False), (1, True)}
+    assert traced > 300 and deep > 100
