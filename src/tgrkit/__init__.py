@@ -11,7 +11,6 @@ from .words import (
     FiniteLanguage,
     WeakCoding,
     Word,
-    apply_coding,
     parse_language,
     word,
     word_text,

@@ -10,9 +10,9 @@ bounded searches under explicit caps: results are sound, and the
 from __future__ import annotations
 
 import enum
-from collections import deque
-from dataclasses import dataclass, field
-from typing import Iterable
+import math
+from dataclasses import dataclass
+from typing import Iterable, Iterator
 
 from .errors import FormatError
 from .words import Alphabet, FiniteLanguage, Word, make_alphabet, word_text
@@ -31,87 +31,75 @@ class Rule:
 
 
 @dataclass(frozen=True)
-class RegularGrammar:
+class _Grammar:
+    """What both kinds share: symbols, start, rules kept sorted and indexed by lhs head."""
+
     nonterminals: Alphabet
     terminals: Alphabet
     start: str
     rules: tuple[Rule, ...]
 
+    def __post_init__(self):
+        overlap = self.nonterminals & self.terminals
+        if overlap:
+            raise FormatError(f"nonterminals and terminals overlap: {sorted(overlap)}")
+        if self.start not in self.nonterminals:
+            raise FormatError(f"start symbol {self.start!r} is not a declared nonterminal")
+        for r in self.rules:
+            for sym in r.lhs + r.rhs:
+                if sym not in self.nonterminals and sym not in self.terminals:
+                    raise FormatError(f"rule {r.text()!r} uses undeclared symbol {sym!r}")
+        for r in self.rules:
+            self._check_rule(r)
+        rules = tuple(sorted(set(self.rules)))
+        object.__setattr__(self, "rules", rules)
+        by_head: dict[str, list[Rule]] = {}
+        for r in rules:
+            by_head.setdefault(r.lhs[0], []).append(r)
+        object.__setattr__(self, "_by_head", by_head)
+
+
+class RegularGrammar(_Grammar):
     kind = REGULAR
 
-    def __post_init__(self):
-        _check_common(self)
-        for r in self.rules:
-            if len(r.lhs) != 1 or r.lhs[0] not in self.nonterminals:
-                raise FormatError(f"rule {r.text()!r}: left side must be a single nonterminal")
-            rhs = r.rhs
+    def _check_rule(self, r: Rule) -> None:
+        if len(r.lhs) != 1 or r.lhs[0] not in self.nonterminals:
+            raise FormatError(f"rule {r.text()!r}: left side must be a single nonterminal")
+        rhs = r.rhs
+        ok = (
+            rhs == ()
+            or (len(rhs) == 1 and rhs[0] in self.terminals)
+            or (len(rhs) == 2 and rhs[0] in self.terminals and rhs[1] in self.nonterminals)
+        )
+        if not ok:
+            raise FormatError(
+                f"rule {r.text()!r} is not right-linear (allowed: X -> a Y, X -> a, X -> @)"
+            )
+
+
+class KurodaGrammar(_Grammar):
+    kind = KURODA
+
+    def _check_rule(self, r: Rule) -> None:
+        nts, lhs, rhs = self.nonterminals, r.lhs, r.rhs
+        if not all(s in nts for s in lhs) or len(lhs) not in (1, 2):
+            raise FormatError(f"rule {r.text()!r}: left side must be one or two nonterminals")
+        if len(lhs) == 1:
             ok = (
                 rhs == ()
                 or (len(rhs) == 1 and rhs[0] in self.terminals)
-                or (
-                    len(rhs) == 2
-                    and rhs[0] in self.terminals
-                    and rhs[1] in self.nonterminals
-                )
+                or (len(rhs) == 2 and all(s in nts for s in rhs))
             )
-            if not ok:
-                raise FormatError(
-                    f"rule {r.text()!r} is not right-linear (allowed: X -> a Y, X -> a, X -> @)"
-                )
-        object.__setattr__(self, "rules", tuple(sorted(set(self.rules))))
-
-
-@dataclass(frozen=True)
-class KurodaGrammar:
-    nonterminals: Alphabet
-    terminals: Alphabet
-    start: str
-    rules: tuple[Rule, ...]
-
-    kind = KURODA
-
-    def __post_init__(self):
-        _check_common(self)
-        nts, ts = self.nonterminals, self.terminals
-        for r in self.rules:
-            lhs, rhs = r.lhs, r.rhs
-            if not all(s in nts for s in lhs) or len(lhs) not in (1, 2):
-                raise FormatError(
-                    f"rule {r.text()!r}: left side must be one or two nonterminals"
-                )
-            if len(lhs) == 1:
-                ok = (
-                    rhs == ()
-                    or (len(rhs) == 1 and rhs[0] in ts)
-                    or (len(rhs) == 2 and all(s in nts for s in rhs))
-                )
-            else:
-                ok = len(rhs) == 2 and all(s in nts for s in rhs)
-            if not ok:
-                raise FormatError(
-                    f"rule {r.text()!r} is not in Kuroda normal form "
-                    "(allowed: A -> E C, A E -> C D, A -> a, A -> @)"
-                )
-        object.__setattr__(self, "rules", tuple(sorted(set(self.rules))))
-
-    @property
-    def has_erasing_rules(self) -> bool:
-        return any(r.rhs == () for r in self.rules)
+        else:
+            ok = len(rhs) == 2 and all(s in nts for s in rhs)
+        if not ok:
+            raise FormatError(
+                f"rule {r.text()!r} is not in Kuroda normal form "
+                "(allowed: A -> E C, A E -> C D, A -> a, A -> @)"
+            )
 
 
 Grammar = RegularGrammar | KurodaGrammar
-
-
-def _check_common(g) -> None:
-    overlap = g.nonterminals & g.terminals
-    if overlap:
-        raise FormatError(f"nonterminals and terminals overlap: {sorted(overlap)}")
-    if g.start not in g.nonterminals:
-        raise FormatError(f"start symbol {g.start!r} is not a declared nonterminal")
-    for r in g.rules:
-        for sym in r.lhs + r.rhs:
-            if sym not in g.nonterminals and sym not in g.terminals:
-                raise FormatError(f"rule {r.text()!r} uses undeclared symbol {sym!r}")
 
 
 def parse_grammar(text: str) -> Grammar:
@@ -207,92 +195,62 @@ class MembershipVerdict:
         return self.verdict is Verdict.MEMBER
 
 
-def _rules_by_lhs_head(g: Grammar) -> dict[str, list[Rule]]:
-    by_head: dict[str, list[Rule]] = {}
-    for r in g.rules:
-        by_head.setdefault(r.lhs[0], []).append(r)
-    return by_head
+def _rewrites(g: Grammar, form: Word) -> Iterator[tuple[Rule, int, Word]]:
+    """Every single rule application to `form` as (rule, position, result).
 
-
-def _regular_search(g: RegularGrammar, k: int, target: Word | None):
-    """BFS over right-linear sentential forms (terminal prefix + one nonterminal).
-
-    With `target` set, stops early on finding it; prefixes longer than k are
-    dead because right-linear forms never shrink.
+    Leftmost position first, then rule order among the rules whose left
+    side starts with the symbol there.
     """
-    by_head = _rules_by_lhs_head(g)
-    start: Word = (g.start,)
-    parents: dict[Word, Word | None] = {start: None}
-    found: set[Word] = set()
-    queue = deque([start])
-    while queue:
-        form = queue.popleft()
-        prefix = form[:-1]
-        for r in by_head.get(form[-1], ()):
-            if r.rhs and len(prefix) + 1 > k:
-                continue
-            new = prefix + r.rhs
-            if new in parents:
-                continue
-            parents[new] = form
-            if len(r.rhs) == 2:
-                queue.append(new)
-            else:
-                found.add(new)
-                if new == target:
-                    return found, parents, new
-    return found, parents, None
+    heads = g._by_head
+    for pos, sym in enumerate(form):
+        for r in heads.get(sym, ()):
+            end = pos + len(r.lhs)
+            if form[pos:end] == r.lhs:
+                yield r, pos, form[:pos] + r.rhs + form[end:]
 
 
-def _kuroda_search(g: KurodaGrammar, k: int, caps: SearchCaps, target: Word | None):
-    """Bounded BFS over sentential forms.
+def _search(g: Grammar, k: int, caps: SearchCaps | None, target: Word | None):
+    """Breadth-first search over sentential forms for the words of L(G) up to length k.
 
-    Forms never shrink when the grammar has no erasing rules, so forms longer
-    than the output bound can be dropped without losing exhaustiveness; any
-    other cap hit makes the search inexact.
+    Returns (words found, parent links, target or None, exhaustive).  No rule
+    rewrites a terminal, so a form with more than k terminals is dead; with
+    no erasing rule forms never shrink, so one longer than k is dead too.
+    Dropping dead forms keeps the search exact; any cap hit makes it
+    inexact.  A regular grammar's live forms are a terminal prefix of at most
+    k symbols plus one nonterminal, so it runs uncapped and stays exact.
     """
+    caps = SearchCaps(math.inf, math.inf, math.inf) if g.kind == REGULAR else caps or SearchCaps()
     terminals = g.terminals
-    erasing = g.has_erasing_rules
-    sound_len_cap = None if erasing else k
+    erasing = any(not r.rhs for r in g.rules)
     start: Word = (g.start,)
     parents: dict[Word, Word | None] = {start: None}
     found: set[Word] = set()
-    capped = False
-    if len(start) > caps.max_form_len:
-        return found, parents, None, False
-
-    frontier = [start]
+    frontier = [start] if len(start) <= caps.max_form_len else []
+    capped = not frontier
     depth = 0
     while frontier:
         if depth >= caps.max_depth:
-            capped = capped or any(
-                any(s not in terminals for s in form) for form in frontier
-            )
+            capped = True  # every frontier form still holds a nonterminal
             break
         nxt: list[Word] = []
         for form in frontier:
-            for pos in range(len(form)):
-                for r in g.rules:
-                    L = len(r.lhs)
-                    if form[pos : pos + L] != r.lhs:
-                        continue
-                    new = form[:pos] + r.rhs + form[pos + L :]
-                    if sound_len_cap is not None and len(new) > sound_len_cap:
-                        continue
-                    if len(new) > caps.max_form_len:
-                        capped = True
-                        continue
-                    if new in parents:
-                        continue
-                    if len(parents) >= caps.max_visited:
-                        capped = True
-                        continue
-                    parents[new] = form
-                    if all(s in terminals for s in new):
-                        if len(new) <= k:
-                            found.add(new)
-                        if new == target:
-                            return found, parents, new, not capped
+            for _, _, new in _rewrites(g, form):
+                if len(new) > k and (not erasing or sum(s in terminals for s in new) > k):
+                    continue
+                if len(new) > caps.max_form_len:
+                    capped = True
+                    continue
+                if new in parents:
+                    continue
+                if len(parents) >= caps.max_visited:
+                    capped = True
+                    continue
+                parents[new] = form
+                if terminals.issuperset(new):
+                    found.add(new)
+                    if new == target:
+                        return found, parents, new, not capped
+                else:
                     nxt.append(new)
         frontier = nxt
         depth += 1
@@ -309,11 +267,7 @@ def enumerate_language(
     """
     if k < 0:
         raise ValueError(f"length bound must be nonnegative, got {k}")
-    if isinstance(g, RegularGrammar):
-        found, _, _ = _regular_search(g, k, None)
-        exhaustive = True
-    else:
-        found, _, _, exhaustive = _kuroda_search(g, k, caps or SearchCaps(), None)
+    found, _, _, exhaustive = _search(g, k, caps, None)
     return FiniteLanguage(frozenset(found), g.terminals), exhaustive
 
 
@@ -322,11 +276,7 @@ def membership(g: Grammar, w: Word, caps: SearchCaps | None = None) -> Membershi
     for sym in w:
         if sym not in g.terminals:
             raise FormatError(f"word uses symbol {sym!r} outside the grammar's terminals")
-    if isinstance(g, RegularGrammar):
-        _, parents, hit = _regular_search(g, len(w), w)
-        closed = True
-    else:
-        _, parents, hit, closed = _kuroda_search(g, len(w), caps or SearchCaps(), w)
+    _, parents, hit, closed = _search(g, len(w), caps, w)
     if hit is None:
         return MembershipVerdict(Verdict.NON_MEMBER if closed else Verdict.UNKNOWN)
     chain = []
@@ -346,20 +296,11 @@ def derivation_steps(g: Grammar, forms: Iterable[Word]) -> list[tuple[Rule, int]
     """
     forms = list(forms)
     steps = []
-    for i in range(len(forms) - 1):
-        cur, nxt = forms[i], forms[i + 1]
-        match = None
-        for pos in range(len(cur)):
-            for r in g.rules:
-                L = len(r.lhs)
-                if cur[pos : pos + L] == r.lhs and cur[:pos] + r.rhs + cur[pos + L :] == nxt:
-                    match = (r, pos)
-                    break
-            if match:
-                break
+    for i, (cur, nxt) in enumerate(zip(forms, forms[1:]), start=1):
+        match = next(((r, pos) for r, pos, new in _rewrites(g, cur) if new == nxt), None)
         if match is None:
             raise FormatError(
-                f"derivation step {i + 1} ({word_text(cur)!r} => {word_text(nxt)!r}) "
+                f"derivation step {i} ({word_text(cur)!r} => {word_text(nxt)!r}) "
                 "is not a single rule application"
             )
         steps.append(match)

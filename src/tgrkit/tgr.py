@@ -126,16 +126,14 @@ def _event(sp: Split, x: Word, ox: int, y: Word, oy: int) -> RecombinationEvent:
     return RecombinationEvent(x, y, t, alpha, beta, gamma, ox, oy, w)
 
 
-def recombine(
-    sys: System, x: Word, y: Word, t: Word | PCTemplate, allow_unlisted: bool = False
-) -> frozenset[RecombinationEvent]:
+def recombine(sys: System, x: Word, y: Word, t: Word | PCTemplate) -> frozenset[RecombinationEvent]:
     """All recombination events of x with y guided by template t.
 
     Every split of t and every pair of match offsets yields one event;
     distinct events may produce equal result words.  Empty set when no
     decomposition exists or a permitting context is missing.
     """
-    if not allow_unlisted and t not in sys.template_set:
+    if t not in sys.template_set:
         raise ValueError("template is not in the system's template set")
     events = []
     for sp in sys.template_splits(t):
@@ -159,7 +157,7 @@ class _Engine:
     fit in max_len beside it, and work follows the results kept.  Each new
     word is scanned once, over its factors whose lengths are needle
     lengths.  With `keep_hits` each prefix and suffix keeps its (word,
-    offset) sources.
+    offset) sources, the first-indexed source of its shortlex-least word first.
     """
 
     def __init__(self, sys: System, keep_hits: bool = False):
@@ -204,8 +202,11 @@ class _Engine:
                             if part not in known:
                                 known.add(part)
                                 deltas.setdefault(i, ([], []))[side].append(part)
-                            if hits is not None:
-                                hits[side].setdefault((i, part), []).append((w, a))
+                            if hits is not None:  # the shortlex-least source stays first
+                                sources = hits[side].setdefault((i, part), [])
+                                sources.append((w, a))
+                                if shortlex_key(w) < shortlex_key(sources[0][0]):
+                                    sources[0], sources[-1] = sources[-1], sources[0]
         return deltas
 
     def run(self, deltas: Deltas, max_len: int | None) -> tuple[set[Word], bool]:
@@ -352,9 +353,6 @@ def derivation_trace(
         return (shortlex_key(ev.x), shortlex_key(ev.y), rank[ev.template],
                 ev.pos_x, ev.pos_y, len(ev.beta), len(ev.alpha))
 
-    def least(sources: list[tuple[Word, int]]) -> tuple[Word, int]:
-        return min(sources, key=lambda src: shortlex_key(src[0]))
-
     engine = _Engine(sys, keep_hits=True)
     found: dict[Word, tuple[int, RecombinationEvent]] = {}  # word -> (round, event)
     words = set(initial.words)
@@ -363,8 +361,7 @@ def derivation_trace(
         for i, p, s in engine.pairs:
             w = p + engine.plan[i][3] + s
             if w in new:
-                ev = _event(engine.plan[i], *least(engine.hits[0][i, p]),
-                            *least(engine.hits[1][i, s]))
+                ev = _event(engine.plan[i], *engine.hits[0][i, p][0], *engine.hits[1][i, s][0])
                 if w not in best or key(ev) < key(best[w]):
                     best[w] = ev
         found.update((w, (r, ev)) for w, ev in best.items())

@@ -17,7 +17,6 @@ from .errors import CodingDomainError, FormatError, ResourceLimitError
 Word = tuple[str, ...]
 Alphabet = frozenset[str]
 
-EMPTY: Word = ()
 EMPTY_WORD_TEXT = "@"
 
 
@@ -97,9 +96,6 @@ class FiniteLanguage:
     def __contains__(self, w: Word) -> bool:
         return w in self.words
 
-    def sorted(self) -> list[Word]:
-        return sort_words(self.words)
-
     def to_text(self) -> str:
         """One word per line; refuses words whose first token is "#".
 
@@ -154,10 +150,6 @@ class WeakCoding:
             if image is not None:
                 out.append(image)
         return tuple(out)
-
-
-def apply_coding(h: WeakCoding, w: Word) -> Word:
-    return h.apply(w)
 
 
 def words_up_to(alphabet: Alphabet, k: int, max_words: int = 200_000) -> FiniteLanguage:

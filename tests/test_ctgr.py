@@ -78,7 +78,7 @@ def test_reduction_to_plain_tgr_on_random_instances():
             )
         tp = PCTemplate((), t, (), frozenset({()}), frozenset({()}))
         ctx = pc_system([tp], syms, quiet=True)
-        plain_words = {e.w for e in recombine(plain, x, y, t, allow_unlisted=True)}
+        plain_words = {e.w for e in recombine(plain, x, y, t)}
         pc_words = {e.w for e in recombine_pc(ctx, x, y, tp)}
         assert plain_words == pc_words, (x, y, t)
 

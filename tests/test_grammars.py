@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 
@@ -17,7 +18,7 @@ from tgrkit import (
     word,
 )
 from tgrkit.grammars import Rule, derivation_steps
-from conftest import load_grammar
+from conftest import load_grammar, random_regular_grammar
 
 
 def test_parse_regular_grammar(astar_b):
@@ -120,15 +121,32 @@ def grammar_nfa_accepts(g: RegularGrammar, w) -> bool:
         "a_star.grammar",
         "ends_ab.grammar",
         "unreachable.grammar",
+        "random",
     ],
 )
 def test_regular_enumeration_matches_automaton_simulation(name):
-    g = load_grammar(name)
-    lang, _ = enumerate_language(g, 8)
-    syms = sorted(g.terminals)
-    for n in range(9):
-        for w in itertools.product(syms, repeat=n):
-            assert (tuple(w) in lang.words) == grammar_nfa_accepts(g, w), (name, w)
+    if name == "random":
+        rng = random.Random(8)
+        grammars = [random_regular_grammar(rng) for _ in range(20)]
+        assert sum(any(r.rhs == () for r in g.rules) for g in grammars) >= 5  # X -> @ rules
+        k = 6
+    else:
+        grammars, k = [load_grammar(name)], 8
+    for g in grammars:
+        lang, exhaustive = enumerate_language(g, k)
+        assert exhaustive
+        for n in range(k + 1):
+            for w in itertools.product(sorted(g.terminals), repeat=n):
+                accepts = grammar_nfa_accepts(g, w)
+                assert (w in lang.words) == accepts, (name, g, w)
+                verdict = membership(g, w)
+                assert verdict.is_member == accepts, (name, g, w)
+                if accepts:  # the witness replays from the start symbol to w
+                    forms = verdict.witness
+                    assert forms[0] == (g.start,) and forms[-1] == w
+                    assert len(derivation_steps(g, forms)) == len(forms) - 1
+                else:
+                    assert verdict.verdict is Verdict.NON_MEMBER
 
 
 def test_membership_regular_with_witness(astar_b):
@@ -143,6 +161,17 @@ def test_membership_regular_non_member(astar_b):
     assert membership(astar_b, word("b a")).verdict is Verdict.NON_MEMBER
 
 
+def test_regular_search_ignores_caps(astar_b):
+    # 13 symbols exceed the default max_form_len of 12; regular searches stay exact.
+    tight = SearchCaps(max_form_len=2, max_depth=1, max_visited=1)
+    for caps in (None, tight):
+        got = membership(astar_b, ("a",) * 12 + ("b",), caps)
+        assert got.verdict is Verdict.MEMBER and len(got.witness) == 14
+        assert membership(astar_b, ("a",) * 13, caps).verdict is Verdict.NON_MEMBER
+        lang, exhaustive = enumerate_language(astar_b, 13, caps)
+        assert exhaustive and len(lang) == 13
+
+
 def test_membership_kuroda_closes_with_caps(anbn):
     caps = SearchCaps(max_form_len=6, max_depth=10, max_visited=10_000)
     assert membership(anbn, word("a b b"), caps).verdict is Verdict.NON_MEMBER
@@ -154,6 +183,20 @@ def test_membership_kuroda_closes_with_caps(anbn):
 def test_membership_kuroda_unknown_when_capped(anbn):
     caps = SearchCaps(max_form_len=6, max_depth=2, max_visited=10_000)
     assert membership(anbn, word("a b b"), caps).verdict is Verdict.UNKNOWN
+
+
+def test_kuroda_search_drops_forms_with_too_many_terminals():
+    # B -> @ lets forms shrink, so length does not bound them; terminals are
+    # never rewritten, so a form with more than k of them is still dead.
+    g = parse_grammar(
+        "type kuroda\nnonterminals S A B C D\nterminals a\nstart S\n"
+        "rule S -> A B\nrule A -> C D\nrule C -> a\nrule D -> a\nrule B -> @\nrule B -> a\n"
+    )
+    caps = SearchCaps(max_form_len=12, max_depth=64, max_visited=11)
+    lang, exhaustive = enumerate_language(g, 1, caps)
+    assert exhaustive and not lang.words
+    assert membership(g, word("a"), caps).verdict is Verdict.NON_MEMBER
+    assert membership(g, word("a a a")).is_member
 
 
 def test_membership_consistent_with_enumeration(anbn):

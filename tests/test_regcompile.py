@@ -25,7 +25,7 @@ from tgrkit.dumps import dump_text
 from tgrkit.grammars import Rule
 from tgrkit.words import make_alphabet
 
-from conftest import load_grammar
+from conftest import load_grammar, random_regular_grammar
 
 CORPUS = [
     "astar_b.grammar",
@@ -129,24 +129,6 @@ def test_no_composable_pairs_means_no_templates():
     rep = complexity_report(compile_regular(g), g)
     assert rep.template_count == 0
     assert rep.ok
-
-
-def random_regular_grammar(rng: random.Random) -> RegularGrammar:
-    nts = rng.sample(["S", "X", "Y"], rng.randint(1, 3))
-    if "S" not in nts:
-        nts[0] = "S"
-    ts = rng.sample(["a", "b", "c"], rng.randint(1, 3))
-    rules = set()
-    for _ in range(rng.randint(1, 6)):
-        lhs = (rng.choice(nts),)
-        shape = rng.randint(0, 2)
-        if shape == 0:
-            rules.add(Rule(lhs, (rng.choice(ts), rng.choice(nts))))
-        elif shape == 1:
-            rules.add(Rule(lhs, (rng.choice(ts),)))
-        else:
-            rules.add(Rule(lhs, ()))
-    return RegularGrammar(make_alphabet(nts), make_alphabet(ts), "S", tuple(rules))
 
 
 def test_bounds_hold_on_random_grammars():

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import ast
 import importlib
 import importlib.util
 import sys
@@ -17,6 +18,31 @@ def test_source_lines_fit_in_100_characters():
         if len(line) > 100
     ]
     assert not long_lines
+
+
+def test_private_names_are_used():
+    # A module-level _name that no code in src/ refers to is dead code.
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in SRC.glob("*.py")}
+    used = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used.update(alias.name for alias in node.names)
+    defined = []
+    for name, tree in sorted(trees.items()):
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.append((name, node.name))
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined += [(name, t.id) for t in targets if isinstance(t, ast.Name)]
+    unused = [f"{path}:{n}" for path, n in defined
+              if n.startswith("_") and not n.startswith("__") and n not in used]
+    assert not unused
 
 
 def bench_module(monkeypatch, name):

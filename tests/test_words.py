@@ -9,7 +9,6 @@ from tgrkit import (
     FormatError,
     ResourceLimitError,
     WeakCoding,
-    apply_coding,
     parse_language,
     word,
     word_text,
@@ -34,13 +33,13 @@ def test_word_rejects_blank_and_bad_tokens():
 
 def test_apply_coding_erases_markers():
     h = WeakCoding({"S": None, "a": "a", "#": None})
-    assert apply_coding(h, word("S a #")) == word("a")
-    assert apply_coding(h, ()) == ()
+    assert h.apply(word("S a #")) == word("a")
+    assert h.apply(()) == ()
 
 
 def test_apply_coding_second_construction_shape():
     h = WeakCoding({"Y": None, "a": "a", "b": "b"})
-    assert apply_coding(h, word("a b Y")) == word("a b")
+    assert h.apply(word("a b Y")) == word("a b")
 
 
 def test_apply_coding_domain_error_names_symbol():
@@ -89,7 +88,7 @@ def test_finite_language_canonical_order_is_stable():
     l1 = FiniteLanguage(frozenset(words), make_alphabet("ab"))
     l2 = FiniteLanguage(frozenset(sorted(words)), make_alphabet("ab"))
     assert l1.to_text().encode() == l2.to_text().encode()
-    assert l1.sorted() == [("a",), ("b",), ("b", "a"), ("a", "a", "a")]
+    assert list(l1) == [("a",), ("b",), ("b", "a"), ("a", "a", "a")]
 
 
 def test_language_file_comments_and_hash_words():
