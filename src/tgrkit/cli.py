@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .ctgr import closure_pc
 from .dumps import dump_text, load_dump
-from .errors import TgrkitError, TraceError
+from .errors import ResourceLimitError, TgrkitError, TraceError
 from .grammars import Grammar, KurodaGrammar, RegularGrammar, parse_grammar
 from .recompile import compile_kuroda, simulate_derivation, soundness_check, trace_lines
 from .regcompile import compile_regular, complexity_report, equiv_check
@@ -281,6 +281,10 @@ def main(argv=None) -> int:
     except OSError as exc:
         sys.stderr.write(f"{exc}\n")
         return EXIT_USAGE
+    except ResourceLimitError as exc:
+        # A set-size cap reached is a cap too small to decide.
+        sys.stderr.write(f"{exc}\n")
+        return EXIT_INCONCLUSIVE
     except (TgrkitError, ValueError) as exc:
         # Every ValueError the library raises is an argument check.
         sys.stderr.write(f"{exc}\n")

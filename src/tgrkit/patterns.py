@@ -2,42 +2,55 @@
 
 The pattern language is deliberately small - it is just enough to express
 the filters used by the compilers.  Matching is exact membership in the
-denoted regular set, decided on the pattern tree itself: each node maps a
-set of start positions in the word to the set of positions where a match
-of that node can end, and the word matches when its length is among the
-end positions reached from 0.  A star nested d deep costs O(n^d) set steps
-on a word of length n; the compiled filters nest stars one deep.
+denoted regular set, decided by Glushkov's position automaton of the
+pattern: its positions are the atoms of the tree plus a start, and after a
+prefix of the word it stands on the set of positions that can have read
+that prefix's last symbol.  Each pattern object builds the automaton once
+and determinizes it lazily: a set of positions and a symbol give the next
+set once, and the move is kept.  Once a word's states exist, matching it
+costs two dictionary lookups per symbol, linear in its length; the kept
+moves are bounded by the reachable position sets times the symbols met.
 """
 
 from __future__ import annotations
 
 import re
+from collections import defaultdict
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Union as TUnion
 
 from .errors import FormatError
 from .words import Word, check_symbol
 
 
+class _Node:
+    """Base of the pattern nodes: each node builds its position automaton once."""
+
+    @cached_property
+    def _automaton(self) -> _Automaton:
+        return _Automaton(self)
+
+
 @dataclass(frozen=True)
-class Atom:
+class Atom(_Node):
     """Matches any single symbol from a finite class."""
 
     symbols: frozenset[str]
 
 
 @dataclass(frozen=True)
-class Concat:
+class Concat(_Node):
     parts: tuple["Pattern", ...]
 
 
 @dataclass(frozen=True)
-class Star:
+class Star(_Node):
     inner: "Pattern"
 
 
 @dataclass(frozen=True)
-class Union:
+class Union(_Node):
     alts: tuple["Pattern", ...]
 
 
@@ -60,31 +73,72 @@ def alt(*alts: Pattern) -> Union:
     return Union(tuple(alts))
 
 
-def _ends(p: Pattern, w: Word, starts: set[int]) -> set[int]:
-    """The positions j such that w[i:j] is in `p` for some i in `starts`."""
-    if isinstance(p, Atom):
-        return {i + 1 for i in starts if i < len(w) and w[i] in p.symbols}
-    if isinstance(p, Concat):
-        for part in p.parts:
-            starts = _ends(part, w, starts)
-        return starts
-    if isinstance(p, Union):
-        return set().union(*(_ends(a, w, starts) for a in p.alts))
-    if isinstance(p, Star):
-        # Only positions not reached before go round again, so this ends
-        # even when the inner pattern matches the empty word.
-        reached = set(starts)
-        frontier = reached
-        while frontier:
-            frontier = _ends(p.inner, w, frontier) - reached
-            reached |= frontier
-        return reached
-    raise TypeError(f"not a pattern: {p!r}")
+class _Automaton:
+    """Glushkov's position automaton of a pattern, determinized as words are read.
+
+    Position 0 is the start; every atom of the tree is one further
+    position.  A state is the set of positions that can have read the last
+    symbol; the empty set means no match can continue.
+    """
+
+    def __init__(self, p: Pattern):
+        self.symbols: list[frozenset[str]] = [frozenset()]  # position -> its atom's symbols
+        self.follow: list[set[int]] = [set()]  # position -> positions that may come next
+        nullable, first, last = self._positions(p)
+        self.follow[0] = first
+        self.finals = last | {0} if nullable else last
+        self.start = frozenset({0})
+        # state -> symbol -> next state, for the moves met so far
+        self.moves: defaultdict[frozenset[int], dict[str, frozenset[int]]] = defaultdict(dict)
+
+    def _positions(self, p: Pattern) -> tuple[bool, set[int], set[int]]:
+        """(matches the empty word, first positions, last positions) of p; fills follow."""
+        if isinstance(p, Atom):
+            i = len(self.follow)
+            self.symbols.append(p.symbols)
+            self.follow.append(set())
+            return False, {i}, {i}
+        if isinstance(p, Concat):
+            nullable, first, last = True, set(), set()
+            for part in p.parts:
+                n, f, l = self._positions(part)
+                for i in last:
+                    self.follow[i] |= f
+                first = first | f if nullable else first
+                last = last | l if n else l
+                nullable = nullable and n
+            return nullable, first, last
+        if isinstance(p, Union):
+            nullable, first, last = False, set(), set()
+            for a in p.alts:
+                n, f, l = self._positions(a)
+                nullable, first, last = nullable or n, first | f, last | l
+            return nullable, first, last
+        if isinstance(p, Star):
+            _, first, last = self._positions(p.inner)
+            for i in last:
+                self.follow[i] |= first
+            return True, first, last
+        raise TypeError(f"not a pattern: {p!r}")
+
+    def accepts(self, w: Word) -> bool:
+        state = self.start
+        for sym in w:
+            moves = self.moves[state]
+            nxt = moves.get(sym)
+            if nxt is None:  # the first time this state meets sym: make the move once
+                nxt = moves[sym] = frozenset(
+                    q for i in state for q in self.follow[i] if sym in self.symbols[q]
+                )
+            if not nxt:
+                return False
+            state = nxt
+        return not self.finals.isdisjoint(state)
 
 
 def matches(p: Pattern, w: Word) -> bool:
     """True iff `w` belongs to the regular set denoted by `p`."""
-    return len(w) in _ends(p, w, {0})
+    return p._automaton.accepts(w)
 
 
 # Textual form, used by the system dump format.  Grammar:

@@ -38,8 +38,8 @@ System: TypeAlias = "TGRSystem | CTGRSystem"
 # (template, alpha, beta, gamma, x-needle, y-needle, c1, c2): x must contain
 # the x-needle and every c1 word, y the y-needle and every c2 word.
 Split: TypeAlias = tuple
-# split id -> (new prefixes, new suffixes); a pair is (split id, prefix, suffix)
-Deltas: TypeAlias = dict[int, tuple[list[Word], list[Word]]]
+# (x-class id -> new prefixes, y-class id -> new suffixes); a pair is (split id, prefix, suffix)
+Deltas: TypeAlias = tuple[dict[int, list[Word]], dict[int, list[Word]]]
 Pair: TypeAlias = tuple[int, Word, Word]
 
 
@@ -120,6 +120,14 @@ def _by_length(words: Iterable[Word]) -> dict[int, list[Word]]:
     return out
 
 
+def _part_class(sp: Split, side: int) -> tuple[Word, int, frozenset[Word]]:
+    """(needle, cut, contexts) of a split's x side (0) or y side (1).
+
+    A part is w[:offset+cut] on the x side and w[offset+cut:] on the y side.
+    """
+    return (sp[5], len(sp[5]), sp[7]) if side else (sp[4], len(sp[1]) + len(sp[2]), sp[6])
+
+
 def _event(sp: Split, x: Word, ox: int, y: Word, oy: int) -> RecombinationEvent:
     t, alpha, beta, gamma, _xneedle, yneedle, _c1, _c2 = sp
     w = x[: ox + len(alpha) + len(beta)] + gamma + y[oy + len(yneedle) :]
@@ -147,39 +155,47 @@ def recombine(sys: System, x: Word, y: Word, t: Word | PCTemplate) -> frozenset[
 
 
 class _Engine:
-    """Per-split prefix and suffix sets over a growing word set.
+    """Per-part-class prefix and suffix sets over a growing word set.
 
     A result is x[:ox+|alpha beta|] + gamma + y[oy+|y-needle|:] and
     permitting contexts test whole words, so per split one step pairs the
     distinct prefixes of words meeting c1 with the distinct suffixes of
-    words meeting c2: work follows the output, not |L| squared.  Each step
-    groups both sides by length, so a prefix meets only the suffixes that
-    fit in max_len beside it, and work follows the results kept.  Each new
-    word is scanned once, over its factors whose lengths are needle
-    lengths.  With `keep_hits` each prefix and suffix keeps its (word,
-    offset) sources, the first-indexed source of its shortlex-least word first.
+    words meeting c2: work follows the output, not |L| squared.  A split's
+    prefixes depend only on its x-class (x-needle, |alpha beta|, c1) and its
+    suffixes only on its y-class (y-needle, |y-needle|, c2); all splits of a
+    class share its one set, so a new word's part is sliced, checked and
+    recorded once per class it hits.  Each step groups both sides by
+    length, so a prefix meets only the suffixes that fit in max_len beside
+    it, and work follows the results kept.  Each new word is scanned once,
+    over its factors whose lengths are needle lengths.  With `keep_hits`
+    each (class, part) keeps its (word, offset) sources, the first-indexed
+    source of its shortlex-least word first.
     """
 
     def __init__(self, sys: System, keep_hits: bool = False):
         self.plan: list[Split] = [sp for t in sys.templates for sp in sys.template_splits(t)]
-        # needle -> ids of the splits with it as x-needle (side 0) or y-needle (side 1)
-        self.by_side: tuple[dict[Word, list[int]], dict[Word, list[int]]] = ({}, {})
-        for i, sp in enumerate(self.plan):
-            self.by_side[0].setdefault(sp[4], []).append(i)
-            self.by_side[1].setdefault(sp[5], []).append(i)
-        self.sizes = tuple(sorted({len(f) for side in self.by_side for f in side}))
-        self.cuts = [len(sp[1]) + len(sp[2]) for sp in self.plan]  # |alpha beta|
-        self.parts: tuple[dict[int, set[Word]], dict[int, set[Word]]] = (
-            defaultdict(set), defaultdict(set)
-        )
+        self.index: dict[Word, list[tuple]] = {}  # needle -> (side, class id, cut, contexts)
+        self.users: list[list[list[int]]] = []  # per side, class id -> its split ids
+        self.classes: list[list[int]] = []  # per side, split id -> its class id
+        for side in (0, 1):
+            ids: dict[tuple, int] = {}  # part class -> class id
+            column = [ids.setdefault(_part_class(sp, side), len(ids)) for sp in self.plan]
+            users: list[list[int]] = [[] for _ in ids]
+            for i, c in enumerate(column):
+                users[c].append(i)
+            for (needle, cut, contexts), c in ids.items():
+                self.index.setdefault(needle, []).append((side, c, cut, contexts))
+            self.users.append(users)
+            self.classes.append(column)
+        self.sizes = tuple(sorted({len(f) for f in self.index}))
+        self.parts: tuple[dict[int, set[Word]], ...] = (defaultdict(set), defaultdict(set))
         self.hits = ({}, {}) if keep_hits else None
         self.pairs: list[Pair] | None = None  # with keep_hits, the last run's kept pairs
 
     def add_words(self, new: list[Word]) -> Deltas:
-        """Index new words; returns the new prefixes and suffixes of each split they touch."""
-        deltas: Deltas = {}
-        plan, by_side, sizes, cuts = self.plan, self.by_side, self.sizes, self.cuts
-        parts, hits = self.parts, self.hits
+        """Index new words; returns the new parts of each class they touch, per side."""
+        deltas: Deltas = ({}, {})
+        index, sizes, parts, hits = self.index, self.sizes, self.parts, self.hits
         for w in new:
             memo: dict[frozenset[Word], bool] = {}  # permitting-context results for w
             n = len(w)
@@ -187,26 +203,23 @@ class _Engine:
                 for size in sizes:
                     if a + size > n:
                         break
-                    f = w[a : a + size]
-                    for side in (0, 1):
-                        for i in by_side[side].get(f, ()):
-                            contexts = plan[i][6 + side]
-                            if contexts:
-                                ok = memo.get(contexts)
-                                if ok is None:
-                                    ok = memo[contexts] = _holds(contexts, w)
-                                if not ok:
-                                    continue
-                            part = w[a + size :] if side else w[: a + cuts[i]]
-                            known = parts[side][i]
-                            if part not in known:
-                                known.add(part)
-                                deltas.setdefault(i, ([], []))[side].append(part)
-                            if hits is not None:  # the shortlex-least source stays first
-                                sources = hits[side].setdefault((i, part), [])
-                                sources.append((w, a))
-                                if shortlex_key(w) < shortlex_key(sources[0][0]):
-                                    sources[0], sources[-1] = sources[-1], sources[0]
+                    for side, c, cut, contexts in index.get(w[a : a + size], ()):
+                        if contexts:
+                            ok = memo.get(contexts)
+                            if ok is None:
+                                ok = memo[contexts] = _holds(contexts, w)
+                            if not ok:
+                                continue
+                        part = w[a + cut :] if side else w[: a + cut]
+                        known = parts[side][c]
+                        if part not in known:
+                            known.add(part)
+                            deltas[side].setdefault(c, []).append(part)
+                        if hits is not None:  # the shortlex-least source stays first
+                            sources = hits[side].setdefault((c, part), [])
+                            sources.append((w, a))
+                            if shortlex_key(w) < shortlex_key(sources[0][0]):
+                                sources[0], sources[-1] = sources[-1], sources[0]
         return deltas
 
     def run(self, deltas: Deltas, max_len: int | None) -> tuple[set[Word], bool]:
@@ -219,11 +232,15 @@ class _Engine:
         truncated = False
         limit = math.inf if max_len is None else max_len
         prefixes, suffixes = self.parts
+        new_p, new_s = deltas
         pairs = self.pairs = None if self.hits is None else []
-        for i, (dp, ds) in deltas.items():
+        touched = sorted({i for side in (0, 1) for c in deltas[side] for i in self.users[side][c]})
+        for i in touched:
+            xc, yc = self.classes[0][i], self.classes[1][i]
+            dp, ds = new_p.get(xc, ()), new_s.get(yc, ())
             gamma = self.plan[i][3]
-            old_p = prefixes.get(i, set()).difference(dp) if ds else ()
-            for pset, sset in ((dp, suffixes.get(i, ())), (old_p, ds)):
+            old_p = prefixes.get(xc, set()).difference(dp) if ds else ()
+            for pset, sset in ((dp, suffixes.get(yc, ())), (old_p, ds)):
                 by_len = _by_length(sset)
                 for n, ps in _by_length(pset).items():
                     budget = limit - n - len(gamma)
@@ -251,7 +268,7 @@ def step_events(sys: System, language: FiniteLanguage) -> list[RecombinationEven
     engine.run(engine.add_words(sort_words(language.words)), None)
     xs, ys = engine.hits
     return [_event(engine.plan[i], x, ox, y, oy) for i, p, s in engine.pairs
-            for x, ox in xs[i, p] for y, oy in ys[i, s]]
+            for x, ox in xs[engine.classes[0][i], p] for y, oy in ys[engine.classes[1][i], s]]
 
 
 @dataclass(frozen=True)
@@ -361,7 +378,8 @@ def derivation_trace(
         for i, p, s in engine.pairs:
             w = p + engine.plan[i][3] + s
             if w in new:
-                ev = _event(engine.plan[i], *engine.hits[0][i, p][0], *engine.hits[1][i, s][0])
+                xc, yc = engine.classes[0][i], engine.classes[1][i]
+                ev = _event(engine.plan[i], *engine.hits[0][xc, p][0], *engine.hits[1][yc, s][0])
                 if w not in best or key(ev) < key(best[w]):
                     best[w] = ev
         found.update((w, (r, ev)) for w, ev in best.items())

@@ -108,6 +108,21 @@ def test_check_reg_inconclusive_exit_code(capsys):
     assert "INCONCLUSIVE" in out
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("check", "re", DATA / "anbn.kuroda", "--max-set-size", 3000),
+         "closure would exceed 3000 words (2819 + 484 new in round 26)"),
+        (("check", "reg", DATA / "ends_ab.grammar", "--max-set-size", 500),
+         "closure would exceed 500 words"),
+    ],
+)
+def test_set_size_cap_reached_is_inconclusive(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert out == "" and message in err and len(err.strip().splitlines()) == 1
+
+
 def test_check_re_sound(capsys):
     code, out, _ = run(
         capsys,

@@ -259,6 +259,29 @@ def test_inert_contextual_template_warning():
         )
 
 
+def naive_closure(sys, words, max_len, max_rounds):
+    """Round-by-round oracle: every (x, y, template) over the whole set.
+
+    Returns (words, rounds used, fixpoint reached, truncated by length).
+    """
+    expect, truncated, fixpoint, r = set(words), False, False, 0
+    for r in range(1, max_rounds + 1):
+        produced = {
+            e.w
+            for x in expect
+            for y in expect
+            for tp in sys.templates
+            for e in recombine_pc(sys, x, y, tp)
+        }
+        truncated = truncated or any(len(w) > max_len for w in produced)
+        new = {w for w in produced if len(w) <= max_len} - expect
+        if not new:
+            fixpoint = True
+            break
+        expect |= new
+    return frozenset(expect), r, fixpoint, truncated
+
+
 def test_closure_pc_agrees_with_naive_pair_loop():
     rng = random.Random(6062)
     syms = ["a", "b"]
@@ -269,26 +292,43 @@ def test_closure_pc_agrees_with_naive_pair_loop():
         max_len = max(map(len, words)) + rng.randint(0, 2)
         max_rounds = rng.randint(0, 3)
         res = closure_pc(sys, lang(words, syms), max_len, max_rounds)
-        # round-by-round oracle: every (x, y, template) over the whole set
-        expect, truncated, fixpoint, r = set(words), False, False, 0
-        for r in range(1, max_rounds + 1):
-            produced = {
-                e.w
-                for x in expect
-                for y in expect
-                for tp in sys.templates
-                for e in recombine_pc(sys, x, y, tp)
-            }
-            truncated = truncated or any(len(w) > max_len for w in produced)
-            new = {w for w in produced if len(w) <= max_len} - expect
-            if not new:
-                fixpoint = True
-                break
-            expect |= new
-        assert res.language.words == frozenset(expect)
+        expect, r, fixpoint, truncated = naive_closure(sys, words, max_len, max_rounds)
+        assert res.language.words == expect
         assert (res.rounds_used, res.reached_fixpoint, res.truncated_by_length) == (
             r, fixpoint, truncated
         )
         seen.add((fixpoint, truncated))
     # some cases truncate and some do not; some reach a fixpoint and some do not
     assert {t for _, t in seen} == {f for f, _ in seen} == {False, True}
+
+
+def test_part_classes_keep_cuts_and_contexts_apart():
+    # The engine shares one prefix set among the splits with equal x-needle,
+    # |alpha beta| and c1.  Here "a b" is the x-needle of splits with one cut
+    # and three different c1, and "a b c" is an x-needle with cut 3 and, through
+    # d1 = "c", with cut 2; "b a" is a y-needle with two different c2.
+    syms = ["a", "b", "c"]
+    sys = pc_system(
+        [
+            pc_template("@", "a b c", "@", c1=["a a"]),
+            pc_template("@", "a b a", "@", c1=["b b"], c2=["c c"]),
+            pc_template("@", "a b c a", "@"),
+            pc_template("@", "a b a", "c", c2=["a a"]),
+        ],
+        syms,
+    )
+    xkeys = {(sp[4], len(sp[1]) + len(sp[2]), sp[6])
+             for tp in sys.templates for sp in sys.template_splits(tp)}
+    assert len({c1 for needle, cut, c1 in xkeys if (needle, cut) == (word("a b"), 2)}) == 3
+    assert {cut for needle, cut, _ in xkeys if needle == word("a b c")} == {2, 3}
+    ykeys = {(sp[5], sp[7]) for tp in sys.templates for sp in sys.template_splits(tp)}
+    assert len({c2 for needle, c2 in ykeys if needle == word("b a")}) == 2
+    rng = random.Random(1717)
+    for _ in range(30):
+        words = {tuple(rng.choices(syms, k=rng.randint(2, 6))) for _ in range(rng.randint(2, 6))}
+        expect, r, fixpoint, truncated = naive_closure(sys, words, 9, 3)
+        res = closure_pc(sys, lang(words, syms), 9, 3)
+        assert res.language.words == expect, sorted(words)
+        assert (res.rounds_used, res.reached_fixpoint, res.truncated_by_length) == (
+            r, fixpoint, truncated
+        )

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -10,7 +11,7 @@ from tgrkit.patterns import Atom, Concat, Star, Union, alt, seq, star, symbol_cl
 
 
 def naive_matches(p, w) -> bool:
-    """Backtracking membership oracle, independent of the position walk."""
+    """Backtracking membership oracle, independent of the position automaton."""
     if isinstance(p, Atom):
         return len(w) == 1 and w[0] in p.symbols
     if isinstance(p, Concat):
@@ -86,8 +87,15 @@ def test_matches_agrees_with_backtracking_oracle():
     # "d" lies outside every atom of every pattern tried.
     words = universe + [word("d"), word("a d"), word("d a b"), word("a b c d")]
     for p in [random_pattern(3) for _ in range(15)] + edge_cases:
-        for w in words:
-            assert matches(p, w) == naive_matches(p, w), (pattern_text(p), w)
+        twin = replace(p)  # equal to p, but a distinct object with its own automaton
+        assert twin == p and twin is not p
+        expect = {w: naive_matches(p, w) for w in words}
+        # One object matches every word twice, forward and then in reverse
+        # order, so most words run on moves kept from earlier words.
+        for w in words + words[::-1]:
+            assert matches(p, w) == expect[w], (pattern_text(p), w)
+        for w in reversed(words):
+            assert matches(twin, w) == expect[w], (pattern_text(p), w)
 
 
 def test_pattern_text_round_trip():
