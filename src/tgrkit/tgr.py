@@ -24,7 +24,6 @@ from .words import (
     Alphabet,
     FiniteLanguage,
     Word,
-    is_factor,
     occurrences,
     shortlex_key,
     sort_words,
@@ -109,8 +108,9 @@ def splits(t: Word, n1: int, n2: int) -> Iterator[tuple[Word, Word, Word]]:
             yield t[:i], t[i:j], t[j:]
 
 
-def _holds(contexts: frozenset[Word], w: Word) -> bool:
-    return all(is_factor(c, w) for c in contexts)
+def _factors(w: Word, sizes: Iterable[int]) -> set[Word]:
+    """The factors of w whose lengths are in sizes; contexts hold iff they are a subset."""
+    return {w[a : a + n] for n in sizes for a in range(len(w) - n + 1)}
 
 
 def _by_length(words: Iterable[Word]) -> dict[int, list[Word]]:
@@ -145,7 +145,8 @@ def recombine(sys: System, x: Word, y: Word, t: Word | PCTemplate) -> frozenset[
         raise ValueError("template is not in the system's template set")
     events = []
     for sp in sys.template_splits(t):
-        if not (_holds(sp[6], x) and _holds(sp[7], y)):
+        sizes = {len(c) for c in sp[6] | sp[7]}
+        if not (sp[6] <= _factors(x, sizes) and sp[7] <= _factors(y, sizes)):
             break  # every split of t carries the same contexts
         xs = occurrences(sp[4], x)
         if xs:
@@ -167,7 +168,10 @@ class _Engine:
     recorded once per class it hits.  Each step groups both sides by
     length, so a prefix meets only the suffixes that fit in max_len beside
     it, and work follows the results kept.  Each new word is scanned once,
-    over its factors whose lengths are needle lengths.  With `keep_hits`
+    over its factors whose lengths are needle lengths.  Its permitting
+    contexts are tested against one factor set per word, its factors of the
+    plan's context-word lengths, built when it first hits a class with
+    contexts: the class's contexts hold iff they are a subset.  With `keep_hits`
     each (class, part) keeps its (word, offset) sources, the first-indexed
     source of its shortlex-least word first.
     """
@@ -188,6 +192,8 @@ class _Engine:
             self.users.append(users)
             self.classes.append(column)
         self.sizes = tuple(sorted({len(f) for f in self.index}))
+        context_sets = {sp[6] for sp in self.plan} | {sp[7] for sp in self.plan}
+        self.context_sizes = {len(c) for cs in context_sets for c in cs}
         self.parts: tuple[dict[int, set[Word]], ...] = (defaultdict(set), defaultdict(set))
         self.hits = ({}, {}) if keep_hits else None
         self.pairs: list[Pair] | None = None  # with keep_hits, the last run's kept pairs
@@ -197,7 +203,7 @@ class _Engine:
         deltas: Deltas = ({}, {})
         index, sizes, parts, hits = self.index, self.sizes, self.parts, self.hits
         for w in new:
-            memo: dict[frozenset[Word], bool] = {}  # permitting-context results for w
+            factors = None  # w's factors of context lengths, built on first need
             n = len(w)
             for a in range(n):
                 for size in sizes:
@@ -205,10 +211,9 @@ class _Engine:
                         break
                     for side, c, cut, contexts in index.get(w[a : a + size], ()):
                         if contexts:
-                            ok = memo.get(contexts)
-                            if ok is None:
-                                ok = memo[contexts] = _holds(contexts, w)
-                            if not ok:
+                            if factors is None:
+                                factors = _factors(w, self.context_sizes)
+                            if not contexts <= factors:
                                 continue
                         part = w[a + cut :] if side else w[: a + cut]
                         known = parts[side][c]

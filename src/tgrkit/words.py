@@ -37,7 +37,7 @@ def word(text: str) -> Word:
         return ()
     if not text:
         raise FormatError(f"blank word text: the empty word is spelled {EMPTY_WORD_TEXT!r}")
-    return tuple(check_symbol(t) for t in text.split())
+    return tuple(text.split())  # split tokens are nonempty and whitespace-free
 
 
 def word_text(w: Word) -> str:
@@ -50,14 +50,6 @@ def shortlex_key(w: Word) -> tuple[int, Word]:
 
 def sort_words(words: Iterable[Word]) -> list[Word]:
     return sorted(words, key=shortlex_key)
-
-
-def is_factor(needle: Word, hay: Word) -> bool:
-    """True iff `needle` occurs contiguously in `hay` (the empty word always does)."""
-    n = len(needle)
-    if n == 0:
-        return True
-    return any(hay[i : i + n] == needle for i in range(len(hay) - n + 1))
 
 
 def occurrences(needle: Word, hay: Word) -> list[int]:

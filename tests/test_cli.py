@@ -189,7 +189,7 @@ def test_re_output_digest_is_pinned(capsys, argv, digest):
 
 # SHA-256 of the output of `trace reg` and `closure`: the recombination engine
 # must produce the same bytes under optimisation.  A closure case names the kind
-# and grammar to compile; the closure truncates at its caps.
+# and grammar to compile, or a dump and its caps; each closure truncates at its caps.
 @pytest.mark.parametrize(
     "argv, digest",
     [
@@ -204,10 +204,13 @@ def test_re_output_digest_is_pinned(capsys, argv, digest):
         (("trace", "reg", DATA / "ends_ab.grammar",
           "--target", "S a S b S a S b S a S a S b S a A b #"),
          "1c751ec5ce43086c08e9ea03d9950267d723879fcacf45159725ba3f684ccfaf"),
+        (("closure", DATA / "contexts.ctgr", "--max-len", 10, "--max-rounds", 5,
+          "--format", "lines"),
+         "9788a97e77f1c27df616469a3c8f1dfcd15fd3a2d37fd91597c92a3b9f90f8bb"),
     ],
 )
 def test_engine_output_digest_is_pinned(capsys, tmp_path, argv, digest):
-    if argv[0] == "closure":
+    if argv[0] == "closure" and argv[1] in ("reg", "re"):
         dump = tmp_path / "d"
         run(capsys, "compile", argv[1], argv[2], "--out", dump)
         argv = ("closure", dump, "--max-len", 14, "--max-rounds", 28, "--format", "lines")

@@ -259,19 +259,24 @@ def test_inert_contextual_template_warning():
         )
 
 
-def naive_closure(sys, words, max_len, max_rounds):
+def naive_closure(sys, words, max_len, max_rounds, results=None):
     """Round-by-round oracle: every (x, y, template) over the whole set.
 
-    Returns (words, rounds used, fixpoint reached, truncated by length).
+    `results(x, y, tp)` gives the result words of one triple, by default
+    through recombine_pc.  Returns (words, rounds used, fixpoint reached,
+    truncated by length).
     """
+    if results is None:
+        def results(x, y, tp):
+            return {e.w for e in recombine_pc(sys, x, y, tp)}
     expect, truncated, fixpoint, r = set(words), False, False, 0
     for r in range(1, max_rounds + 1):
         produced = {
-            e.w
+            w
             for x in expect
             for y in expect
             for tp in sys.templates
-            for e in recombine_pc(sys, x, y, tp)
+            for w in results(x, y, tp)
         }
         truncated = truncated or any(len(w) > max_len for w in produced)
         new = {w for w in produced if len(w) <= max_len} - expect
@@ -332,3 +337,58 @@ def test_part_classes_keep_cuts_and_contexts_apart():
         assert (res.rounds_used, res.reached_fixpoint, res.truncated_by_length) == (
             r, fixpoint, truncated
         )
+
+
+def results_by_definition(x, y, tp):
+    """u.alpha.beta.gamma.v for x = u.alpha.beta.d1.d and y = e.e1.beta.gamma.v.
+
+    Splits use n1 = n2 = 1; every c1 word must be a factor of x and every c2
+    word one of y, tested here by slicing, not through tgr.
+    """
+    def has(w, c):
+        return any(w[i : i + len(c)] == c for i in range(len(w) - len(c) + 1))
+
+    if not (all(has(x, c) for c in tp.c1) and all(has(y, c) for c in tp.c2)):
+        return set()
+    body, out = tp.body, set()
+    for i in range(1, len(body) - 1):
+        for j in range(i + 1, len(body)):
+            xn, yn = body[:j] + tp.d1, tp.e1 + body[i:]
+            out.update(x[: ox + j] + body[j:] + y[oy + len(yn) :]
+                       for ox in range(len(x) - len(xn) + 1) if x[ox : ox + len(xn)] == xn
+                       for oy in range(len(y) - len(yn) + 1) if y[oy : oy + len(yn)] == yn)
+    return out
+
+
+def test_contexts_of_several_words_and_lengths():
+    # c1 and c2 hold 2-3 words of lengths 1-3, so a word's factor set mixes
+    # lengths, and a context word may be longer than the word it is tested on.
+    rng = random.Random(9431)
+    syms = ["a", "b"]
+
+    def rand_word(lo, hi):
+        return tuple(rng.choices(syms, k=rng.randint(lo, hi)))
+
+    def contexts():
+        return frozenset(rand_word(1, 3) for _ in range(rng.randint(2, 3)))
+
+    grew = 0
+    for _ in range(120):
+        templates = [
+            PCTemplate(rand_word(0, 1), rand_word(3, 5), rand_word(0, 1), contexts(), contexts())
+            for _ in range(rng.randint(1, 4))
+        ]
+        sys = pc_system(templates, syms)
+        words = {rand_word(1, 7) for _ in range(rng.randint(2, 6))}
+        max_len = max(map(len, words)) + rng.randint(0, 2)
+        max_rounds = rng.randint(1, 3)
+        res = closure_pc(sys, lang(words, syms), max_len, max_rounds)
+        expect, r, fixpoint, truncated = naive_closure(
+            sys, words, max_len, max_rounds, results_by_definition
+        )
+        assert res.language.words == expect, (sorted(words), sys.templates)
+        assert (res.rounds_used, res.reached_fixpoint, res.truncated_by_length) == (
+            r, fixpoint, truncated
+        )
+        grew += len(expect) > len(words)
+    assert grew >= 30

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -22,11 +24,21 @@ def test_word_round_trip():
     assert word("@") == ()
     assert word_text(("S", "a", "#")) == "S a #"
     assert word_text(()) == "@"
+    # "@" alone spells the empty word, so it is left out of the symbol pool.
+    rng = random.Random(4242)
+    pool = ["a", "b", "S", "#", "$", "&", "B1", "X'", "Y_B2", "\u00e9", "a@"]
+    for _ in range(300):
+        w = tuple(rng.choices(pool, k=rng.randint(0, 8)))
+        assert word(word_text(w)) == w
+    # Any Unicode whitespace separates symbols.
+    assert word("a b\x1cc") == ("a", "b", "c")
+    assert word("\u3000x\ty\u2003 ") == ("x", "y")
 
 
 def test_word_rejects_blank_and_bad_tokens():
-    with pytest.raises(FormatError):
-        word("")
+    for text in ["", " ", "\t\n", "\x1c", "\u3000"]:
+        with pytest.raises(FormatError, match="blank word text"):
+            word(text)
     with pytest.raises(FormatError):
         make_alphabet(["a b"])
 
