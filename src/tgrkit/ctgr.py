@@ -12,18 +12,15 @@ templates normalize context sets by dropping empty words.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterator
 
 from .errors import FormatError
-from .tgr import ClosureResult, InertTemplateWarning, Split, closure, splits
+from .tgr import ClosureResult, Parts, System, closure
 
 # A plain template is a contextual one with empty deletion and permitting
 # contexts, so both kinds share tgr's engine; recombine_pc is an alias.
 from .tgr import recombine as recombine_pc
-from .words import Alphabet, FiniteLanguage, Word, shortlex_key, word, word_text
+from .words import Word, shortlex_key, word, word_text
 
 HASH = "#"
 DOLLAR = "$"
@@ -142,49 +139,23 @@ def parse_template_file(text: str) -> tuple[PCTemplate, ...]:
 
 
 @dataclass(frozen=True)
-class CTGRSystem:
+class CTGRSystem(System):
     templates: tuple[PCTemplate, ...]
-    alphabet: Alphabet
-    n1: int = 1
-    n2: int = 1
 
     def __post_init__(self):
-        if self.n1 < 1 or self.n2 < 1:
-            raise ValueError(f"length minima must be positive, got n1={self.n1}, n2={self.n2}")
         # tau and parse_tau use these as separators, so they cannot be symbols.
         reserved = self.alphabet & {HASH, DOLLAR, AMP}
         if reserved:
             raise ValueError(f"system alphabet contains tau separators: {sorted(reserved)}")
-        for tp in self.templates:
-            for w in (tp.e1, tp.body, tp.d1, *tp.c1, *tp.c2):
-                for sym in w:
-                    if sym not in self.alphabet:
-                        raise ValueError(
-                            f"template symbol {sym!r} is outside the system alphabet"
-                        )
         # Canonical order plus dedup by tau, so iteration and dumps are stable.
         by_tau = {tau(tp): tp for tp in self.templates}
         object.__setattr__(
             self, "templates", tuple(by_tau[t] for t in sorted(by_tau, key=shortlex_key))
         )
-        least = 2 * self.n1 + self.n2
-        inert = [tp for tp in self.templates if len(tp.body) < least]
-        if inert:
-            warnings.warn(
-                f"{len(inert)} contextual template(s) have bodies shorter than "
-                f"2*n1+n2={least} and can never fire",
-                InertTemplateWarning,
-                stacklevel=2,
-            )
+        super().__post_init__()
 
-    @cached_property
-    def template_set(self) -> frozenset[PCTemplate]:
-        return frozenset(self.templates)
-
-    def template_splits(self, tp: PCTemplate) -> Iterator[Split]:
-        """The splits of tp's body under the minima, with its deletion contexts in the needles."""
-        for alpha, beta, gamma in splits(tp.body, self.n1, self.n2):
-            yield tp, alpha, beta, gamma, alpha + beta + tp.d1, tp.e1 + beta + gamma, tp.c1, tp.c2
+    def parts(self, tp: PCTemplate) -> Parts:
+        return tp.e1, tp.body, tp.d1, tp.c1, tp.c2
 
 
 # tgr.closure with a lower default set-size cap: contextual closures grow fast.

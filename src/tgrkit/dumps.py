@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING
 from .ctgr import CTGRSystem, parse_tau, tau
 from .errors import FormatError
 from .patterns import Pattern, parse_pattern, pattern_text
-from .tgr import TGRSystem
+from .tgr import System, TGRSystem
 from .words import FiniteLanguage, WeakCoding, Word, make_alphabet, sort_words, word, word_text
 
 if TYPE_CHECKING:
@@ -27,7 +27,7 @@ SECTIONS = ("BASE", "TEMPLATES", "FILTER", "CODING", "PROVENANCE")
 @dataclass(frozen=True)
 class LoadedDump:
     kind: str  # "tgr" | "ctgr"
-    system: TGRSystem | CTGRSystem
+    system: System
     base: FiniteLanguage
     filter: Pattern | None
     coding: WeakCoding | None
@@ -66,7 +66,8 @@ def load_dump(text: str) -> LoadedDump:
     lines = text.splitlines()
     if not lines or not lines[0].startswith("tgrkit-dump "):
         raise FormatError("not a tgrkit dump (missing 'tgrkit-dump' header)")
-    kind = lines[0].split()[1]
+    header = lines[0].split()
+    kind = header[1] if len(header) > 1 else ""
     if kind not in ("tgr", "ctgr"):
         raise FormatError(f"unknown dump kind {kind!r}")
 
@@ -121,7 +122,7 @@ def load_dump(text: str) -> LoadedDump:
     if alphabet is None:
         raise FormatError("dump is missing the 'alphabet' header line")
 
-    system: TGRSystem | CTGRSystem
+    system: System
     if kind == "tgr":
         system = TGRSystem(
             templates=FiniteLanguage(frozenset(template_words), alphabet),

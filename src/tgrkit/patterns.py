@@ -147,7 +147,10 @@ def matches(p: Pattern, w: Word) -> bool:
 #   factor := atom "*"?
 #   atom   := "{" sym ("," sym)* "}" | "(" union ")"
 # Symbol tokens may not contain the delimiter characters {},()|* or spaces.
+# Parentheses and stars nest at most MAX_NESTING deep in all: the parser, the
+# automaton and pattern_text recurse once per level.
 
+MAX_NESTING = 100
 _DELIMS = set("{}(),|*")
 _TOKEN = re.compile(r"[{}(),|*]|[^\s{}(),|*]+")
 
@@ -173,6 +176,12 @@ def parse_pattern(text: str) -> Pattern:
     """Parse the textual pattern form; inverse of `pattern_text`."""
     tokens = _TOKEN.findall(text)
     pos = 0
+    groups = 0  # parentheses open at pos
+
+    def nested(depth: int) -> int:
+        if depth > MAX_NESTING:
+            raise FormatError(f"pattern nests parentheses and stars deeper than {MAX_NESTING}")
+        return depth
 
     def peek() -> str | None:
         return tokens[pos] if pos < len(tokens) else None
@@ -187,7 +196,9 @@ def parse_pattern(text: str) -> Pattern:
         pos += 1
         return tok
 
-    def parse_atom() -> Pattern:
+    # Each parser returns its pattern and the parentheses and stars it nests.
+    def parse_atom() -> tuple[Pattern, int]:
+        nonlocal groups
         tok = peek()
         if tok == "{":
             take("{")
@@ -199,35 +210,39 @@ def parse_pattern(text: str) -> Pattern:
             for s in syms:
                 if s in _DELIMS or not s:
                     raise FormatError(f"bad symbol {s!r} in pattern class")
-            return symbol_class(syms)
+            return symbol_class(syms), 0
         if tok == "(":
             take("(")
-            inner = parse_union()
+            groups = nested(groups + 1)  # before the descent can exhaust the stack
+            inner, depth = parse_union()
             take(")")
-            return inner
+            groups -= 1
+            return inner, nested(depth + 1)
         raise FormatError(f"unexpected token {tok!r} in pattern")
 
-    def parse_factor() -> Pattern:
-        p = parse_atom()
+    def parse_factor() -> tuple[Pattern, int]:
+        p, depth = parse_atom()
         while peek() == "*":
             take("*")
-            p = Star(p)
-        return p
+            p, depth = Star(p), nested(depth + 1)
+        return p, depth
 
-    def parse_concat() -> Pattern:
+    def parse_concat() -> tuple[Pattern, int]:
         parts = [parse_factor()]
         while peek() not in (None, "|", ")"):
             parts.append(parse_factor())
-        return parts[0] if len(parts) == 1 else Concat(tuple(parts))
+        depth = max(d for _, d in parts)
+        return parts[0][0] if len(parts) == 1 else Concat(tuple(p for p, _ in parts)), depth
 
-    def parse_union() -> Pattern:
+    def parse_union() -> tuple[Pattern, int]:
         alts = [parse_concat()]
         while peek() == "|":
             take("|")
             alts.append(parse_concat())
-        return alts[0] if len(alts) == 1 else Union(tuple(alts))
+        depth = max(d for _, d in alts)
+        return alts[0][0] if len(alts) == 1 else Union(tuple(a for a, _ in alts)), depth
 
-    result = parse_union()
+    result, _ = parse_union()
     if pos != len(tokens):
         raise FormatError(f"trailing tokens in pattern: {tokens[pos:]!r}")
     return result

@@ -8,15 +8,17 @@ one-step operator under an explicit word-length bound, which is the
 computable stand-in for the generally infinite full closure.  A plain
 template is a contextual one (see ctgr) with empty deletion and permitting
 contexts, so everything here serves both system kinds through their
-`template_splits`.
+`parts`.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from collections import defaultdict
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Iterator, TypeAlias
 
 from .errors import ResourceLimitError
@@ -31,12 +33,11 @@ from .words import (
 )
 
 if TYPE_CHECKING:
-    from .ctgr import CTGRSystem, PCTemplate
+    from .ctgr import PCTemplate
 
-System: TypeAlias = "TGRSystem | CTGRSystem"
-# (template, alpha, beta, gamma, x-needle, y-needle, c1, c2): x must contain
-# the x-needle and every c1 word, y the y-needle and every c2 word.
-Split: TypeAlias = tuple
+Parts: TypeAlias = tuple[Word, Word, Word, frozenset[Word], frozenset[Word]]
+# (template, alpha, beta, gamma, e1): one split of a template's body
+Split: TypeAlias = "tuple[Word | PCTemplate, Word, Word, Word, Word]"
 # (x-class id -> new prefixes, y-class id -> new suffixes); a pair is (split id, prefix, suffix)
 Deltas: TypeAlias = tuple[dict[int, list[Word]], dict[int, list[Word]]]
 Pair: TypeAlias = tuple[int, Word, Word]
@@ -47,8 +48,10 @@ class InertTemplateWarning(UserWarning):
 
 
 @dataclass(frozen=True)
-class TGRSystem:
-    templates: FiniteLanguage
+class System:
+    """Either system kind: a kind gives each template's `parts` and runs its own checks first."""
+
+    templates: Iterable
     alphabet: Alphabet
     n1: int = 1
     n2: int = 1
@@ -56,26 +59,43 @@ class TGRSystem:
     def __post_init__(self):
         if self.n1 < 1 or self.n2 < 1:
             raise ValueError(f"length minima must be positive, got n1={self.n1}, n2={self.n2}")
-        if not (self.templates.alphabet <= self.alphabet):
-            raise ValueError("template alphabet is not contained in the system alphabet")
         least = 2 * self.n1 + self.n2
-        inert = [t for t in self.templates if len(t) < least]
+        inert = []  # bodies too short to split
+        for t in self.templates:
+            e1, body, d1, c1, c2 = self.parts(t)
+            for sym in itertools.chain(e1, body, d1, *c1, *c2):
+                if sym not in self.alphabet:
+                    raise ValueError(f"template symbol {sym!r} is outside the system alphabet")
+            if len(body) < least:
+                inert.append(body)
         if inert:
             warnings.warn(
-                f"{len(inert)} template(s) shorter than 2*n1+n2={least} can never fire, "
-                f"e.g. {word_text(inert[0])!r}",
+                f"{len(inert)} template(s) have bodies shorter than 2*n1+n2={least} "
+                f"and can never fire, e.g. {word_text(inert[0])!r}",
                 InertTemplateWarning,
-                stacklevel=2,
+                stacklevel=4,  # the kind's constructor's caller
             )
 
-    @property
-    def template_set(self) -> frozenset[Word]:
-        return self.templates.words
+    def parts(self, t) -> Parts:
+        """t's (e1, body, d1, c1, c2): deletion contexts, the body to split, permitting contexts."""
+        raise NotImplementedError
 
-    def template_splits(self, t: Word) -> Iterator[Split]:
-        """The splits of t under the minima; plain templates have no contexts."""
-        for alpha, beta, gamma in splits(t, self.n1, self.n2):
-            yield t, alpha, beta, gamma, alpha + beta, beta + gamma, frozenset(), frozenset()
+    @cached_property
+    def template_set(self) -> frozenset:
+        return frozenset(self.templates)
+
+
+@dataclass(frozen=True)
+class TGRSystem(System):
+    templates: FiniteLanguage
+
+    def __post_init__(self):
+        if not (self.templates.alphabet <= self.alphabet):
+            raise ValueError("template alphabet is not contained in the system alphabet")
+        super().__post_init__()
+
+    def parts(self, t: Word) -> Parts:
+        return (), t, (), frozenset(), frozenset()
 
 
 @dataclass(frozen=True)
@@ -120,17 +140,9 @@ def _by_length(words: Iterable[Word]) -> dict[int, list[Word]]:
     return out
 
 
-def _part_class(sp: Split, side: int) -> tuple[Word, int, frozenset[Word]]:
-    """(needle, cut, contexts) of a split's x side (0) or y side (1).
-
-    A part is w[:offset+cut] on the x side and w[offset+cut:] on the y side.
-    """
-    return (sp[5], len(sp[5]), sp[7]) if side else (sp[4], len(sp[1]) + len(sp[2]), sp[6])
-
-
 def _event(sp: Split, x: Word, ox: int, y: Word, oy: int) -> RecombinationEvent:
-    t, alpha, beta, gamma, _xneedle, yneedle, _c1, _c2 = sp
-    w = x[: ox + len(alpha) + len(beta)] + gamma + y[oy + len(yneedle) :]
+    t, alpha, beta, gamma, e1 = sp
+    w = x[: ox + len(alpha) + len(beta)] + gamma + y[oy + len(e1) + len(beta) + len(gamma) :]
     return RecombinationEvent(x, y, t, alpha, beta, gamma, ox, oy, w)
 
 
@@ -143,14 +155,16 @@ def recombine(sys: System, x: Word, y: Word, t: Word | PCTemplate) -> frozenset[
     """
     if t not in sys.template_set:
         raise ValueError("template is not in the system's template set")
+    e1, body, d1, c1, c2 = sys.parts(t)
+    sizes = {len(c) for c in c1 | c2}
+    if not (c1 <= _factors(x, sizes) and c2 <= _factors(y, sizes)):
+        return frozenset()
     events = []
-    for sp in sys.template_splits(t):
-        sizes = {len(c) for c in sp[6] | sp[7]}
-        if not (sp[6] <= _factors(x, sizes) and sp[7] <= _factors(y, sizes)):
-            break  # every split of t carries the same contexts
-        xs = occurrences(sp[4], x)
+    for alpha, beta, gamma in splits(body, sys.n1, sys.n2):
+        xs = occurrences(alpha + beta + d1, x)
         if xs:
-            for oy in occurrences(sp[5], y):
+            sp = (t, alpha, beta, gamma, e1)
+            for oy in occurrences(e1 + beta + gamma, y):
                 events.extend(_event(sp, x, ox, y, oy) for ox in xs)
     return frozenset(events)
 
@@ -177,23 +191,28 @@ class _Engine:
     """
 
     def __init__(self, sys: System, keep_hits: bool = False):
-        self.plan: list[Split] = [sp for t in sys.templates for sp in sys.template_splits(t)]
+        self.plan: list[Split] = []
+        self.classes: list[list[int]] = [[], []]  # per side, split id -> its class id
+        xids: dict[tuple, int] = {}  # x-class (x-needle, |alpha beta|, c1) -> class id
+        yids: dict[tuple, int] = {}  # y-class (y-needle, |y-needle|, c2) -> class id
+        for t in sys.templates:
+            e1, body, d1, c1, c2 = sys.parts(t)
+            for alpha, beta, gamma in splits(body, sys.n1, sys.n2):
+                self.plan.append((t, alpha, beta, gamma, e1))
+                ab, yneedle = alpha + beta, e1 + beta + gamma
+                self.classes[0].append(xids.setdefault((ab + d1, len(ab), c1), len(xids)))
+                self.classes[1].append(yids.setdefault((yneedle, len(yneedle), c2), len(yids)))
         self.index: dict[Word, list[tuple]] = {}  # needle -> (side, class id, cut, contexts)
         self.users: list[list[list[int]]] = []  # per side, class id -> its split ids
-        self.classes: list[list[int]] = []  # per side, split id -> its class id
-        for side in (0, 1):
-            ids: dict[tuple, int] = {}  # part class -> class id
-            column = [ids.setdefault(_part_class(sp, side), len(ids)) for sp in self.plan]
+        for side, ids in enumerate((xids, yids)):
             users: list[list[int]] = [[] for _ in ids]
-            for i, c in enumerate(column):
+            for i, c in enumerate(self.classes[side]):
                 users[c].append(i)
             for (needle, cut, contexts), c in ids.items():
                 self.index.setdefault(needle, []).append((side, c, cut, contexts))
             self.users.append(users)
-            self.classes.append(column)
         self.sizes = tuple(sorted({len(f) for f in self.index}))
-        context_sets = {sp[6] for sp in self.plan} | {sp[7] for sp in self.plan}
-        self.context_sizes = {len(c) for cs in context_sets for c in cs}
+        self.context_sizes = {len(c) for es in self.index.values() for *_, cs in es for c in cs}
         self.parts: tuple[dict[int, set[Word]], ...] = (defaultdict(set), defaultdict(set))
         self.hits = ({}, {}) if keep_hits else None
         self.pairs: list[Pair] | None = None  # with keep_hits, the last run's kept pairs

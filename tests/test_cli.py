@@ -258,6 +258,13 @@ def test_usage_error_exit_code(capsys):
         ("n1 1", "n1 x", "line 2: n1 must be a positive integer"),
         ("n1 1", "n1 0", "line 2: n1 must be a positive integer"),
         ("S -> @", "S ->", "bad coding line 'S ->'"),
+        ("tgrkit-dump tgr", "tgrkit-dump ", "unknown dump kind ''"),
+        pytest.param(
+            "{S}({a,b}{S})*({a,b}{#}|{#}{#})",
+            "(" * 5000 + "{S}" + ")" * 5000,
+            "pattern nests parentheses and stars deeper than 100",
+            id="deep-filter",
+        ),
     ],
 )
 def test_closure_malformed_dump_is_usage_error(capsys, tmp_path, old, new, message):

@@ -21,7 +21,7 @@ from tgrkit import (
     word_text,
 )
 from tgrkit.ctgr import parse_template_file, parse_template_line, template_line
-from tgrkit.tgr import InertTemplateWarning, step_events
+from tgrkit.tgr import InertTemplateWarning, _Engine, step_events
 from tgrkit.words import make_alphabet
 
 SIGMA = ["X", "Z", "B", "B1", "B2", "S", "Y", "a", "b", "c", "v", "u", "Q"]
@@ -249,16 +249,6 @@ def test_closure_pc_rounds_nested():
         prev = res.language.words
 
 
-def test_inert_contextual_template_warning():
-    with pytest.warns(InertTemplateWarning):
-        CTGRSystem(
-            templates=(pc_template("@", "a b", "@"),),
-            alphabet=make_alphabet(SIGMA),
-            n1=1,
-            n2=1,
-        )
-
-
 def naive_closure(sys, words, max_len, max_rounds, results=None):
     """Round-by-round oracle: every (x, y, template) over the whole set.
 
@@ -322,11 +312,13 @@ def test_part_classes_keep_cuts_and_contexts_apart():
         ],
         syms,
     )
-    xkeys = {(sp[4], len(sp[1]) + len(sp[2]), sp[6])
-             for tp in sys.templates for sp in sys.template_splits(tp)}
+    index = _Engine(sys).index
+    xkeys = {(needle, cut, c1) for needle, entries in index.items()
+             for side, _, cut, c1 in entries if side == 0}
     assert len({c1 for needle, cut, c1 in xkeys if (needle, cut) == (word("a b"), 2)}) == 3
     assert {cut for needle, cut, _ in xkeys if needle == word("a b c")} == {2, 3}
-    ykeys = {(sp[5], sp[7]) for tp in sys.templates for sp in sys.template_splits(tp)}
+    ykeys = {(needle, c2) for needle, entries in index.items()
+             for side, _, _, c2 in entries if side == 1}
     assert len({c2 for needle, c2 in ykeys if needle == word("b a")}) == 2
     rng = random.Random(1717)
     for _ in range(30):

@@ -7,7 +7,17 @@ from dataclasses import replace
 import pytest
 
 from tgrkit import FormatError, matches, parse_pattern, pattern_text, word
-from tgrkit.patterns import Atom, Concat, Star, Union, alt, seq, star, symbol_class
+from tgrkit.patterns import (
+    MAX_NESTING,
+    Atom,
+    Concat,
+    Star,
+    Union,
+    alt,
+    seq,
+    star,
+    symbol_class,
+)
 
 
 def naive_matches(p, w) -> bool:
@@ -113,3 +123,38 @@ def test_parse_pattern_errors():
         parse_pattern("{a,b")
     with pytest.raises(FormatError):
         parse_pattern("{a}}")
+
+
+def nested_texts(depth):
+    """Patterns that nest parentheses and stars `depth` deep, in several shapes."""
+    grouped = "{a}"
+    for _ in range(depth):
+        grouped = f"({grouped}{{b}}|{{c}})"  # each group adds a union and a concatenation
+    starred = "{a}" + "*" * (depth % 2)
+    for _ in range(depth // 2):
+        starred = f"({starred}{{b}})*"
+    return ["(" * depth + "{a}" + ")" * depth, "{a}" + "*" * depth, grouped, starred]
+
+
+def test_parse_pattern_nesting_up_to_the_bound():
+    # The backtracking oracle is exponential here, so each shape's words are
+    # listed: a; a*; c b^j (j < depth) and a b^depth; words of (... b)* end in b.
+    words = ["@", "a", "a a", "c", "c b", "a b"]
+    accepted = [{"a"}, {"@", "a", "a a"}, {"c", "c b"}, {"@"}]
+    for depth in (MAX_NESTING - 1, MAX_NESTING):
+        for text, expect in zip(nested_texts(depth), accepted):
+            p = parse_pattern(text)
+            assert parse_pattern(pattern_text(p)) == p
+            assert {w for w in words if matches(p, word(w))} == expect, (depth, text[:20])
+
+
+@pytest.mark.parametrize(
+    "text",
+    nested_texts(MAX_NESTING + 1)
+    + ["(" * 5000 + "{a}" + ")" * 5000, "{a}" + "*" * 5000, "(" * 5000 + "{a}"],
+    ids=[f"{shape}-{MAX_NESTING + 1}" for shape in ("parens", "stars", "grouped", "starred")]
+    + ["parens-5000", "stars-5000", "unclosed-5000"],
+)
+def test_parse_pattern_rejects_deeper_nesting(text):
+    with pytest.raises(FormatError, match=f"deeper than {MAX_NESTING}"):
+        parse_pattern(text)

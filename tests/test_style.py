@@ -45,6 +45,15 @@ def test_private_names_are_used():
     assert not unused
 
 
+def test_tgr_is_kind_agnostic():
+    # Both system kinds reach tgr only through tgr.System and its `parts`.
+    text = (SRC / "tgr.py").read_text(encoding="utf-8")
+    assert "CTGRSystem" not in text and "template_splits" not in text
+    calls = [node.func.id for node in ast.walk(ast.parse(text))
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)]
+    assert "isinstance" not in calls
+
+
 def bench_module(monkeypatch, name):
     """Import tgrbench/<name>.py without writing bytecode next to it."""
     spec = importlib.util.spec_from_file_location(f"tgrbench_{name}", BENCH / f"{name}.py")

@@ -6,7 +6,19 @@ import warnings
 
 import pytest
 
-from tgrkit import FiniteLanguage, TGRSystem, closure, derivation_trace, recombine, step, tgr, word
+from tgrkit import (
+    CTGRSystem,
+    FiniteLanguage,
+    FormatError,
+    PCTemplate,
+    TGRSystem,
+    closure,
+    derivation_trace,
+    recombine,
+    step,
+    tgr,
+    word,
+)
 from tgrkit.errors import ResourceLimitError
 from tgrkit.tgr import InertTemplateWarning
 from tgrkit.words import make_alphabet, shortlex_key
@@ -224,9 +236,29 @@ def test_derivation_trace_events_chain():
         seen.add(ev.w)
 
 
-def test_inert_template_warning():
-    with pytest.warns(InertTemplateWarning):
-        system({word("a b")}, SIGMA, n1=1, n2=1)
+@pytest.mark.parametrize("kind", [TGRSystem, CTGRSystem], ids=lambda kind: kind.__name__)
+def test_system_validation(kind):
+    def make(templates, n1=1, n2=1):
+        if kind is TGRSystem:
+            return system(set(templates), "ab", n1, n2)
+        tps = [t if isinstance(t, PCTemplate) else PCTemplate((), t, (), set(), set())
+               for t in templates]
+        return CTGRSystem(tuple(tps), make_alphabet("ab"), n1, n2)
+
+    for n1, n2 in ((0, 1), (1, 0)):
+        with pytest.raises(ValueError, match="length minima must be positive"):
+            make([word("a b a")], n1, n2)
+    # A plain template's language rejects the symbol first, naming it too.
+    with pytest.raises((ValueError, FormatError), match="symbol 'q'.* outside"):
+        make([word("a q b")])
+    if kind is TGRSystem:
+        with pytest.raises(ValueError, match="template alphabet is not contained"):
+            TGRSystem(lang({word("a b a")}, "abq"), make_alphabet("ab"))
+    else:
+        with pytest.raises(ValueError, match="template symbol 'q' is outside"):
+            make([PCTemplate((), word("a b a"), (), {word("q")}, set())])
+    with pytest.warns(InertTemplateWarning, match="^2 .*can never fire"):
+        make([word("a b"), word("b"), word("a b a")])
 
 
 def test_derivation_trace_prefers_shortlex_least_x_then_y():
