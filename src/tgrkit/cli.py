@@ -26,6 +26,9 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_INCONCLUSIVE = 3
+# The exit code of each verdict `check` can reach, for both grammar kinds.
+VERDICT_EXIT = {"pass": EXIT_OK, "sound": EXIT_OK, "fail": EXIT_FAIL, "unsound": EXIT_FAIL,
+                "inconclusive": EXIT_INCONCLUSIVE}
 
 
 def _read(path: str) -> str:
@@ -46,14 +49,9 @@ def _load_grammar(path: str, cls: type[Grammar]) -> Grammar:
     return g
 
 
-def _caps_lines(args, k: bool = True) -> list[str]:
-    lines = []
-    if k and hasattr(args, "k"):
-        lines.append(f"k {args.k}")
-    lines.append(f"max-len {args.max_len}")
-    lines.append(f"max-rounds {args.max_rounds}")
-    lines.append(f"max-set-size {args.max_set_size}")
-    return lines
+def _caps_lines(args) -> list[str]:
+    caps = ("k", "max_len", "max_rounds", "max_set_size")  # only check has k
+    return [f"{cap.replace('_', '-')} {getattr(args, cap)}" for cap in caps if hasattr(args, cap)]
 
 
 def cmd_compile(args) -> int:
@@ -70,10 +68,11 @@ def cmd_closure(args) -> int:
     base = loaded.base
     if args.base:
         base = parse_language(_read(args.base), loaded.system.alphabet)
+    # closure_pc is closure under its own name, by which the benchmark attributes contextual runs.
     run = closure if loaded.kind == "tgr" else closure_pc
     result = run(loaded.system, base, args.max_len, args.max_rounds, args.max_set_size)
     if args.format == "lines":
-        out = _caps_lines(args, k=False)
+        out = _caps_lines(args)
         out += [
             f"rounds {result.rounds_used}",
             f"fixpoint {str(result.reached_fixpoint).lower()}",
@@ -92,59 +91,29 @@ def cmd_closure(args) -> int:
 
 
 def cmd_check(args) -> int:
+    caps = dict(max_len=args.max_len, max_rounds=args.max_rounds, max_set_size=args.max_set_size)
     if args.kind == "reg":
         g = _load_grammar(args.grammar, RegularGrammar)
-        report = equiv_check(
-            compile_regular(g),
-            g,
-            args.k,
-            max_len=args.max_len,
-            max_rounds=args.max_rounds,
-            max_set_size=args.max_set_size,
-        )
-        if args.format == "lines":
-            out = ["kind reg"] + _caps_lines(args)
-            out.append(f"verdict {report.verdict}")
-            out += [f"missing {word_text(w)}" for w in report.missing]
-            out += [f"extra {word_text(w)}" for w in report.extra]
-        else:
-            label = {"pass": "PASS", "fail": "FAIL", "inconclusive": "INCONCLUSIVE"}
-            out = [
-                f"{label[report.verdict]}: pipeline vs grammar enumeration up to length {args.k}"
-            ]
-            out += [f"  missing: {word_text(w)}" for w in report.missing]
-            out += [f"  extra: {word_text(w)}" for w in report.extra]
-        _emit(args, "\n".join(out) + "\n")
-        if report.verdict == "pass":
-            return EXIT_OK
-        return EXIT_FAIL if report.verdict == "fail" else EXIT_INCONCLUSIVE
-
-    g = _load_grammar(args.grammar, KurodaGrammar)
-    report = soundness_check(
-        compile_kuroda(g),
-        g,
-        args.k,
-        max_len=args.max_len,
-        max_rounds=args.max_rounds,
-        max_set_size=args.max_set_size,
-    )
-    verdict = "unsound" if report.non_members else ("inconclusive" if report.unknowns else "sound")
-    if args.format == "lines":
-        out = ["kind re"] + _caps_lines(args)
-        out.append(f"verdict {verdict}")
-        out += [f"produced {word_text(w)}" for w in report.produced]
-        out += [f"non-member {word_text(w)}" for w in report.non_members]
-        out += [f"unknown {word_text(w)}" for w in report.unknowns]
+        report = equiv_check(compile_regular(g), g, args.k, **caps)
+        groups = {"missing": report.missing, "extra": report.extra}
+        listed = tuple(groups)  # the groups the human format lists
+        summary = f"pipeline vs grammar enumeration up to length {args.k}"
     else:
-        out = [
-            f"{verdict.upper()}: {len(report.produced)} produced word(s), "
-            f"{len(report.non_members)} non-member(s), {len(report.unknowns)} unknown"
-        ]
-        out += [f"  non-member: {word_text(w)}" for w in report.non_members]
+        g = _load_grammar(args.grammar, KurodaGrammar)
+        report = soundness_check(compile_kuroda(g), g, args.k, **caps)
+        groups = {"produced": report.produced, "non-member": report.non_members,
+                  "unknown": report.unknowns}
+        listed = ("non-member",)
+        summary = (f"{len(report.produced)} produced word(s), "
+                   f"{len(report.non_members)} non-member(s), {len(report.unknowns)} unknown")
+    if args.format == "lines":
+        out = [f"kind {args.kind}", *_caps_lines(args), f"verdict {report.verdict}"]
+        out += [f"{name} {word_text(w)}" for name, ws in groups.items() for w in ws]
+    else:
+        out = [f"{report.verdict.upper()}: {summary}"]
+        out += [f"  {name}: {word_text(w)}" for name in listed for w in groups[name]]
     _emit(args, "\n".join(out) + "\n")
-    if verdict == "sound":
-        return EXIT_OK
-    return EXIT_FAIL if verdict == "unsound" else EXIT_INCONCLUSIVE
+    return VERDICT_EXIT[report.verdict]
 
 
 def cmd_trace(args) -> int:

@@ -15,10 +15,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import FormatError
-from .tgr import ClosureResult, Parts, System, closure
+from .tgr import Parts, System
 
 # A plain template is a contextual one with empty deletion and permitting
-# contexts, so both kinds share tgr's engine; recombine_pc is an alias.
+# contexts, so both kinds share tgr's engine; closure_pc and recombine_pc are aliases.
+from .tgr import closure as closure_pc
 from .tgr import recombine as recombine_pc
 from .words import Word, shortlex_key, word, word_text
 
@@ -157,7 +158,3 @@ class CTGRSystem(System):
     def parts(self, tp: PCTemplate) -> Parts:
         return tp.e1, tp.body, tp.d1, tp.c1, tp.c2
 
-
-# tgr.closure with a lower default set-size cap: contextual closures grow fast.
-def closure_pc(sys, initial, max_len, max_rounds, max_set_size=200_000) -> ClosureResult:
-    return closure(sys, initial, max_len, max_rounds, max_set_size)

@@ -66,8 +66,7 @@ def load_dump(text: str) -> LoadedDump:
     lines = text.splitlines()
     if not lines or not lines[0].startswith("tgrkit-dump "):
         raise FormatError("not a tgrkit dump (missing 'tgrkit-dump' header)")
-    header = lines[0].split()
-    kind = header[1] if len(header) > 1 else ""
+    kind = " ".join(lines[0].split()[1:])  # the header is the kind alone
     if kind not in ("tgr", "ctgr"):
         raise FormatError(f"unknown dump kind {kind!r}")
 

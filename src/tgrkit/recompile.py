@@ -50,6 +50,11 @@ NEEDS_X = frozenset({(X,)})
 NEEDS_XP = frozenset({(XP,)})
 NEEDS_Y = frozenset({(Y,)})
 
+# A derivation file is user input: its replay stops after this many events.
+MAX_TRACE_EVENTS = 10_000
+# The membership oracle's caps for every word soundness_check tests.
+ORACLE_CAPS = SearchCaps()
+
 
 def rotating_marker(b: str) -> str:
     """The Y-variant that remembers the symbol currently being rotated."""
@@ -231,7 +236,7 @@ def rotate_cycle(cr: CompiledRE, w: Word) -> tuple[list[TraceEvent], Word]:
 
 
 def simulate_derivation(
-    cr: CompiledRE, derivation: list[Word] | tuple[Word, ...], max_events: int = 10_000
+    cr: CompiledRE, derivation: list[Word] | tuple[Word, ...]
 ) -> SimulationTrace:
     """Replay a grammar derivation as a validated recombination trace.
 
@@ -258,8 +263,8 @@ def simulate_derivation(
     current = start_word(cr)
 
     def budget() -> None:
-        if len(events) > max_events:
-            raise TraceError(f"trace exceeded the event budget of {max_events}")
+        if len(events) > MAX_TRACE_EVENTS:
+            raise TraceError(f"trace exceeded the event budget of {MAX_TRACE_EVENTS}")
 
     def rotate_to(target_content: Word) -> None:
         nonlocal current
@@ -336,6 +341,12 @@ class SoundnessReport:
     def ok(self) -> bool:
         return not self.non_members
 
+    @property
+    def verdict(self) -> str:
+        if self.non_members:
+            return "unsound"
+        return "inconclusive" if self.unknowns else "sound"
+
 
 def soundness_check(
     cr: CompiledRE,
@@ -344,18 +355,16 @@ def soundness_check(
     max_len: int,
     max_rounds: int,
     max_set_size: int = 1_000_000,
-    caps: SearchCaps | None = None,
 ) -> SoundnessReport:
     """Check every pipeline word against the grammar membership oracle.
 
     Non-members expose a construction bug; unknowns are oracle cap limits.
     """
     produced, fixpoint = pipeline_language_pc(cr, k, max_len, max_rounds, max_set_size)
-    caps = caps or SearchCaps()
     non_members = []
     unknowns = []
     for w in produced:
-        verdict = membership(g, w, caps)
+        verdict = membership(g, w, ORACLE_CAPS)
         if verdict.verdict is Verdict.NON_MEMBER:
             non_members.append(w)
         elif verdict.verdict is Verdict.UNKNOWN:

@@ -38,9 +38,10 @@ if TYPE_CHECKING:
 Parts: TypeAlias = tuple[Word, Word, Word, frozenset[Word], frozenset[Word]]
 # (template, alpha, beta, gamma, e1): one split of a template's body
 Split: TypeAlias = "tuple[Word | PCTemplate, Word, Word, Word, Word]"
-# (x-class id -> new prefixes, y-class id -> new suffixes); a pair is (split id, prefix, suffix)
-Deltas: TypeAlias = tuple[dict[int, list[Word]], dict[int, list[Word]]]
-Pair: TypeAlias = tuple[int, Word, Word]
+# class id -> part length -> parts, per side: (x-class prefixes, y-class suffixes)
+ByLength: TypeAlias = dict[int, dict[int, list[Word]]]
+Deltas: TypeAlias = tuple[ByLength, ByLength]
+Pair: TypeAlias = tuple[int, Word, Word]  # (split id, prefix, suffix)
 
 
 class InertTemplateWarning(UserWarning):
@@ -133,11 +134,11 @@ def _factors(w: Word, sizes: Iterable[int]) -> set[Word]:
     return {w[a : a + n] for n in sizes for a in range(len(w) - n + 1)}
 
 
-def _by_length(words: Iterable[Word]) -> dict[int, list[Word]]:
-    out: dict[int, list[Word]] = {}
-    for w in words:
-        out.setdefault(len(w), []).append(w)
-    return out
+def _merge(groups: ByLength, new: ByLength) -> None:
+    for c, by_len in new.items():
+        known = groups[c]
+        for n, ws in by_len.items():
+            known.setdefault(n, []).extend(ws)
 
 
 def _event(sp: Split, x: Word, ox: int, y: Word, oy: int) -> RecombinationEvent:
@@ -179,15 +180,15 @@ class _Engine:
     prefixes depend only on its x-class (x-needle, |alpha beta|, c1) and its
     suffixes only on its y-class (y-needle, |y-needle|, c2); all splits of a
     class share its one set, so a new word's part is sliced, checked and
-    recorded once per class it hits.  Each step groups both sides by
-    length, so a prefix meets only the suffixes that fit in max_len beside
-    it, and work follows the results kept.  Each new word is scanned once,
-    over its factors whose lengths are needle lengths.  Its permitting
-    contexts are tested against one factor set per word, its factors of the
-    plan's context-word lengths, built when it first hits a class with
-    contexts: the class's contexts hold iff they are a subset.  With `keep_hits`
-    each (class, part) keeps its (word, offset) sources, the first-indexed
-    source of its shortlex-least word first.
+    recorded once per class it hits.  Parts, and each round's new ones, are
+    also kept by length, so a prefix meets only the suffixes that fit in
+    max_len beside it, and work follows the results kept.  Each new word is
+    scanned once, over its factors whose lengths are needle lengths.  Its
+    permitting contexts are tested against one factor set per word, its
+    factors of the plan's context-word lengths, built when it first hits a
+    class with contexts: the class's contexts hold iff they are a subset.
+    With `keep_hits` each (class, part) keeps its (word, offset) sources,
+    the first-indexed source of its shortlex-least word first.
     """
 
     def __init__(self, sys: System, keep_hits: bool = False):
@@ -214,6 +215,7 @@ class _Engine:
         self.sizes = tuple(sorted({len(f) for f in self.index}))
         self.context_sizes = {len(c) for es in self.index.values() for *_, cs in es for c in cs}
         self.parts: tuple[dict[int, set[Word]], ...] = (defaultdict(set), defaultdict(set))
+        self.by_length: Deltas = (defaultdict(dict), defaultdict(dict))  # the parts, by length
         self.hits = ({}, {}) if keep_hits else None
         self.pairs: list[Pair] | None = None  # with keep_hits, the last run's kept pairs
 
@@ -238,7 +240,7 @@ class _Engine:
                         known = parts[side][c]
                         if part not in known:
                             known.add(part)
-                            deltas[side].setdefault(c, []).append(part)
+                            deltas[side].setdefault(c, {}).setdefault(len(part), []).append(part)
                         if hits is not None:  # the shortlex-least source stays first
                             sources = hits[side].setdefault((c, part), [])
                             sources.append((w, a))
@@ -255,27 +257,28 @@ class _Engine:
         produced: set[Word] = set()
         truncated = False
         limit = math.inf if max_len is None else max_len
-        prefixes, suffixes = self.parts
+        prefixes, suffixes = self.by_length
         new_p, new_s = deltas
+        _merge(suffixes, new_s)  # the prefixes take this round's new ones after the pairing
         pairs = self.pairs = None if self.hits is None else []
         touched = sorted({i for side in (0, 1) for c in deltas[side] for i in self.users[side][c]})
         for i in touched:
             xc, yc = self.classes[0][i], self.classes[1][i]
-            dp, ds = new_p.get(xc, ()), new_s.get(yc, ())
+            dp, ds = new_p.get(xc, {}), new_s.get(yc, {})
             gamma = self.plan[i][3]
-            old_p = prefixes.get(xc, set()).difference(dp) if ds else ()
-            for pset, sset in ((dp, suffixes.get(yc, ())), (old_p, ds)):
-                by_len = _by_length(sset)
-                for n, ps in _by_length(pset).items():
+            old_p = prefixes.get(xc, {}) if ds else {}
+            for pgroups, sgroups in ((dp, suffixes.get(yc, {})), (old_p, ds)):
+                for n, ps in pgroups.items():
                     budget = limit - n - len(gamma)
-                    fits = [ss for m, ss in by_len.items() if m <= budget]
-                    truncated = truncated or len(fits) < len(by_len)
+                    fits = [ss for m, ss in sgroups.items() if m <= budget]
+                    truncated = truncated or len(fits) < len(sgroups)
                     for p in ps:
                         pg = p + gamma
                         for ss in fits:
                             produced.update([pg + s for s in ss])
                             if pairs is not None:
                                 pairs.extend([(i, p, s) for s in ss])
+        _merge(prefixes, new_p)
         return produced, truncated
 
 

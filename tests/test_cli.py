@@ -1,11 +1,16 @@
 from __future__ import annotations
 
 import hashlib
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+from tgrkit import cli
 from tgrkit.cli import main
+from tgrkit.regcompile import compile_regular
+from tgrkit.tgr import TGRSystem
+from tgrkit.words import FiniteLanguage, word
 
 DATA = Path(__file__).parent / "data"
 
@@ -219,6 +224,62 @@ def test_engine_output_digest_is_pinned(capsys, tmp_path, argv, digest):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
+def broken_regular(g):
+    """compile_regular without the template `a S b` and with the non-member base word `S a #`."""
+    cr = compile_regular(g)
+    templates = cr.system.templates
+    kept = FiniteLanguage(templates.words - {word("a S b")}, templates.alphabet)
+    base = FiniteLanguage(cr.base.words | {word("S a #")}, cr.base.alphabet)
+    return replace(cr, system=TGRSystem(kept, cr.system.alphabet), base=base)
+
+
+# SHA-256 of the output of `check` with its exit code, for every verdict of
+# both kinds in both formats.  The `fail` case checks a broken compilation.
+@pytest.mark.parametrize("fmt", ["human", "lines"])
+@pytest.mark.parametrize(
+    "argv, code, digests",
+    [
+        pytest.param(
+            ("reg", DATA / "astar_b.grammar"), 0,
+            ("bff00a0833535f122093275192c91370e47b131fd3fcf0809987a8a63a4df709",
+             "f3b5e89abb28dafccf2c48f443904fb77b8ab9490a3d4a8d12e20d4dbac49885"),
+            id="reg-pass",
+        ),
+        pytest.param(
+            ("reg", DATA / "astar_b.grammar", "--k", 4), 1,
+            ("6244872dbb020a51e415cfbe25fe775090693195f6a0144f8ccf4fa0053a17ab",
+             "38f273357720a8021878fef38be467859ea54470cece24c72e0d3b1d7fc59bdb"),
+            id="reg-fail",
+        ),
+        pytest.param(
+            ("reg", DATA / "ends_ab.grammar", "--k", 6, "--max-rounds", 2), 3,
+            ("e3300d1808481e6c4f55a9b4a4ba545d65e12053b4cd695a6f67a692fcbaa4b9",
+             "53da82757c742961b6727305c62f01a20c870be22bf789553f616a649340d5d4"),
+            id="reg-inconclusive",
+        ),
+        pytest.param(
+            ("re", DATA / "anbn.kuroda", "--k", 4, "--max-len", 16, "--max-rounds", 24), 0,
+            ("0fd2f923d4fdf75b6c4384c35aacf7e6a88050ae16b438f1d6c358a044a69221",
+             "a86c9c6fc3ffc30b88ded083181919e27fb5476a7a4846bf6a3b93f78e07e5cb"),
+            id="re-sound",
+        ),
+        pytest.param(
+            ("re", DATA / "anbn.kuroda", "--k", 4, "--max-len", 16, "--max-rounds", 31), 1,
+            ("8a56f615c65bfef4f0d1eb33b9e39b03fbf092ad9ddd85d94e3bef1954960e85",
+             "41dbfa79e2307ba341ba6a114f675a160c0e018daa5bc5fb8f54239ecc68a4de"),
+            id="re-unsound",
+        ),
+    ],
+)
+def test_check_output_digest_is_pinned(capsys, monkeypatch, fmt, argv, code, digests):
+    if code == 1 and argv[0] == "reg":
+        monkeypatch.setattr(cli, "compile_regular", broken_regular)
+    got, out, err = run(capsys, "check", *argv, "--format", fmt)
+    assert (got, err) == (code, "")
+    digest = digests[fmt == "lines"]
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
 def test_trace_re_short_word_fails_loudly(capsys, tmp_path):
     deriv = tmp_path / "deriv"
     deriv.write_text("S\na\n")
@@ -259,6 +320,7 @@ def test_usage_error_exit_code(capsys):
         ("n1 1", "n1 0", "line 2: n1 must be a positive integer"),
         ("S -> @", "S ->", "bad coding line 'S ->'"),
         ("tgrkit-dump tgr", "tgrkit-dump ", "unknown dump kind ''"),
+        ("tgrkit-dump tgr", "tgrkit-dump tgr junk more", "unknown dump kind 'tgr junk more'"),
         pytest.param(
             "{S}({a,b}{S})*({a,b}{#}|{#}{#})",
             "(" * 5000 + "{S}" + ")" * 5000,
