@@ -13,6 +13,7 @@ templates normalize context sets by dropping empty words.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 
 from .errors import FormatError
 from .tgr import Parts, System
@@ -49,54 +50,51 @@ def tau(tp: PCTemplate) -> Word:
     """Canonical word form: e1 # body # d1 $ c1-words $ c2-words.
 
     Context words are listed in shortlex order and separated by "&"; this
-    makes equal templates have equal tau words.
+    makes equal templates have equal tau words.  The word is computed once
+    and kept on the template.
     """
-    out = list(tp.e1) + [HASH] + list(tp.body) + [HASH] + list(tp.d1) + [DOLLAR]
-    for i, w in enumerate(sorted(tp.c1, key=shortlex_key)):
-        if i:
-            out.append(AMP)
-        out.extend(w)
-    out.append(DOLLAR)
-    for i, w in enumerate(sorted(tp.c2, key=shortlex_key)):
-        if i:
-            out.append(AMP)
-        out.extend(w)
-    return tuple(out)
+    w = getattr(tp, "_tau", None)
+    if w is None:
+        c1, c2 = _joined(tp.c1), _joined(tp.c2)
+        w = (*tp.e1, HASH, *tp.body, HASH, *tp.d1, DOLLAR, *c1, DOLLAR, *c2)
+        object.__setattr__(tp, "_tau", w)
+    return w
 
 
-def parse_tau(w: Word) -> PCTemplate:
-    """Parse a tau word back into a template.
+def _joined(c: frozenset[Word]) -> Word:
+    """c's words in shortlex order, separated by "&"; fewer than two words need no sort."""
+    if len(c) < 2:
+        return next(iter(c), ())
+    first, *rest = sorted(c, key=shortlex_key)
+    return first + tuple(s for w in rest for s in (AMP, *w))
 
-    Assumes "#", "$" and "&" do not occur in the template's own symbols,
-    which CTGRSystem enforces for its alphabet.
+
+def parse_tau(w: Word, sets: dict | None = None) -> PCTemplate:
+    """Parse a tau word back into a template; a canonical w becomes its tau word.
+
+    Templates parsed with one `sets` dict share their context sets, as
+    compiled ones do.  Assumes "#", "$" and "&" do not occur in the
+    template's own symbols, which CTGRSystem enforces for its alphabet.
     """
-    hashes = [i for i, s in enumerate(w) if s == HASH]
-    dollars = [i for i, s in enumerate(w) if s == DOLLAR]
-    if len(hashes) != 2 or len(dollars) != 2:
+    marks = [i for i, s in enumerate(w) if s == HASH or s == DOLLAR]
+    if [w[i] for i in marks] != [HASH, HASH, DOLLAR, DOLLAR]:
         raise FormatError(f"not a tau word: {word_text(w)!r}")
-    h1, h2 = hashes
-    d1, d2 = dollars
-    if not h1 < h2 < d1 < d2:
-        raise FormatError(f"not a tau word: {word_text(w)!r}")
+    h1, h2, d1, d2 = marks
+    if sets is None:
+        sets = {}
+    (c1, canon1), (c2, canon2) = _context(w[d1 + 1 : d2], sets), _context(w[d2 + 1 :], sets)
+    tp = PCTemplate(w[:h1], w[h1 + 1 : h2], w[h2 + 1 : d1], c1, c2)
+    if canon1 and canon2:
+        object.__setattr__(tp, "_tau", w)
+    return tp
 
-    def split_words(seg: Word) -> frozenset[Word]:
-        if not seg:
-            return frozenset()
-        parts: list[list[str]] = [[]]
-        for s in seg:
-            if s == AMP:
-                parts.append([])
-            else:
-                parts[-1].append(s)
-        return frozenset(tuple(p) for p in parts)
 
-    return PCTemplate(
-        e1=w[:h1],
-        body=w[h1 + 1 : h2],
-        d1=w[h2 + 1 : d1],
-        c1=split_words(w[d1 + 1 : d2]),
-        c2=split_words(w[d2 + 1 :]),
-    )
+def _context(seg: Word, sets: dict) -> tuple[frozenset[Word], bool]:
+    """The context set seg spells (empty words dropped) and whether seg is its canonical form."""
+    if seg not in sets:
+        c = frozenset(tuple(run) for is_amp, run in groupby(seg, AMP.__eq__) if not is_amp)
+        sets[seg] = c, _joined(c) == seg
+    return sets[seg]
 
 
 def template_line(tp: PCTemplate) -> str:
@@ -148,11 +146,11 @@ class CTGRSystem(System):
         reserved = self.alphabet & {HASH, DOLLAR, AMP}
         if reserved:
             raise ValueError(f"system alphabet contains tau separators: {sorted(reserved)}")
-        # Canonical order plus dedup by tau, so iteration and dumps are stable.
+        # Shortlex order of tau plus dedup by tau, so iteration and dumps are stable;
+        # a stable sort by length after a plain sort is shortlex without a key per word.
         by_tau = {tau(tp): tp for tp in self.templates}
-        object.__setattr__(
-            self, "templates", tuple(by_tau[t] for t in sorted(by_tau, key=shortlex_key))
-        )
+        order = sorted(sorted(by_tau), key=len)
+        object.__setattr__(self, "templates", tuple(by_tau[t] for t in order))
         super().__post_init__()
 
     def parts(self, tp: PCTemplate) -> Parts:

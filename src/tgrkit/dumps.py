@@ -74,7 +74,8 @@ def load_dump(text: str) -> LoadedDump:
     alphabet: frozenset[str] | None = None
     section: str | None = None
     base_words: set[Word] = set()
-    template_words: set[Word] = set()
+    templates: list = []  # words, or templates parsed from tau words
+    context_sets: dict = {}  # shared by this load's parse_tau calls
     filter_text: str | None = None
     coding_map: dict[str, str | None] = {}
 
@@ -105,7 +106,11 @@ def load_dump(text: str) -> LoadedDump:
         elif section == "BASE":
             base_words.add(word(line))
         elif section == "TEMPLATES":
-            template_words.add(word(line))
+            try:
+                w = word(line)
+                templates.append(parse_tau(w, context_sets) if kind == "ctgr" else w)
+            except FormatError as exc:
+                raise FormatError(str(exc), line=lineno) from None
         elif section == "FILTER":
             filter_text = line
         elif section == "CODING":
@@ -124,13 +129,12 @@ def load_dump(text: str) -> LoadedDump:
     system: System
     if kind == "tgr":
         system = TGRSystem(
-            templates=FiniteLanguage(frozenset(template_words), alphabet),
+            templates=FiniteLanguage(frozenset(templates), alphabet),
             alphabet=alphabet,
             **minima,
         )
     else:
-        tps = tuple(parse_tau(w) for w in sorted(template_words))
-        system = CTGRSystem(templates=tps, alphabet=alphabet, **minima)
+        system = CTGRSystem(templates=tuple(templates), alphabet=alphabet, **minima)
 
     return LoadedDump(
         kind=kind,

@@ -145,16 +145,15 @@ def compile_kuroda(g: KurodaGrammar) -> CompiledRE:
         )
     v = u | {X, XP, Y, Z, ZP} | {rotating_marker(b) for b in u}
 
-    templates: dict[Word, PCTemplate] = {}
-    tmpl_prov: dict[Word, list[str]] = {}
-    base_prov: dict[Word, list[str]] = {(X,) + BLOCK + (g.start, Y): ["L1 start"]}
+    templates: list[PCTemplate] = []  # CTGRSystem drops duplicates
+    tmpl_prov: dict[Word, set[str]] = {}
+    base_prov: dict[Word, set[str]] = {(X,) + BLOCK + (g.start, Y): {"L1 start"}}
     for tp, label, base_label in _groups(g, sorted(u)):
-        key = tau(tp)
-        templates[key] = tp
-        tmpl_prov.setdefault(key, []).append(label)
-        base_prov.setdefault(partner(tp), []).append(base_label)
+        templates.append(tp)
+        tmpl_prov.setdefault(tau(tp), set()).add(label)
+        base_prov.setdefault(partner(tp), set()).add(base_label)
 
-    system = CTGRSystem(templates=tuple(templates.values()), alphabet=frozenset(v), n1=1, n2=1)
+    system = CTGRSystem(templates=tuple(templates), alphabet=frozenset(v), n1=1, n2=1)
     base = FiniteLanguage(frozenset(base_prov), frozenset(v))
     filter_pattern = seq(star(symbol_class(g.terminals)), symbol_class({Y}))
     coding = WeakCoding({**{a: a for a in g.terminals}, Y: None})
@@ -165,8 +164,8 @@ def compile_kuroda(g: KurodaGrammar) -> CompiledRE:
         filter=filter_pattern,
         coding=coding,
         u_alphabet=frozenset(u),
-        base_provenance={w: tuple(sorted(set(v_))) for w, v_ in base_prov.items()},
-        template_provenance={w: tuple(sorted(set(v_))) for w, v_ in tmpl_prov.items()},
+        base_provenance={w: tuple(sorted(v_)) for w, v_ in base_prov.items()},
+        template_provenance={w: tuple(sorted(v_)) for w, v_ in tmpl_prov.items()},
     )
 
 
@@ -336,10 +335,6 @@ class SoundnessReport:
     non_members: tuple[Word, ...]
     unknowns: tuple[Word, ...]
     fixpoint_reached: bool
-
-    @property
-    def ok(self) -> bool:
-        return not self.non_members
 
     @property
     def verdict(self) -> str:

@@ -61,14 +61,17 @@ class System:
         if self.n1 < 1 or self.n2 < 1:
             raise ValueError(f"length minima must be positive, got n1={self.n1}, n2={self.n2}")
         least = 2 * self.n1 + self.n2
+        used: set[str] = set()
         inert = []  # bodies too short to split
         for t in self.templates:
             e1, body, d1, c1, c2 = self.parts(t)
-            for sym in itertools.chain(e1, body, d1, *c1, *c2):
-                if sym not in self.alphabet:
-                    raise ValueError(f"template symbol {sym!r} is outside the system alphabet")
+            used.update(e1, body, d1, *c1, *c2)
             if len(body) < least:
                 inert.append(body)
+        if not used <= self.alphabet:  # name the first bad symbol, in template order
+            bad = next(s for e1, body, d1, c1, c2 in map(self.parts, self.templates)
+                       for s in itertools.chain(e1, body, d1, *c1, *c2) if s not in self.alphabet)
+            raise ValueError(f"template symbol {bad!r} is outside the system alphabet")
         if inert:
             warnings.warn(
                 f"{len(inert)} template(s) have bodies shorter than 2*n1+n2={least} "

@@ -222,7 +222,7 @@ def test_criterion_6_re_construction_soundness():
     # appears at the round equal to its shortest witness chain
     depth = len(simulate_derivation(cr, AB_DERIVATION).events)
     rep = soundness_check(cr, g, k=4, max_len=16, max_rounds=depth)
-    sound = rep.ok and not rep.unknowns
+    sound = rep.verdict == "sound"
     includes_ab = word("a b") in rep.produced
     detail = (
         f"produced={len(rep.produced)} non-members={len(rep.non_members)} "

@@ -340,6 +340,29 @@ def test_closure_malformed_dump_is_usage_error(capsys, tmp_path, old, new, messa
     assert message in err and "Traceback" not in err
 
 
+def ctgr_dump(*templates):
+    return "\n".join([
+        "tgrkit-dump ctgr", "n1 1", "n2 1", "alphabet X Z a b c u", "BASE", "X a b c",
+        "TEMPLATES", "# a b c # $ $", *templates, "END",
+    ]) + "\n"
+
+
+@pytest.mark.parametrize(
+    "template, message",
+    [
+        ("Z a b c # u $ X $", "line 9: not a tau word: 'Z a b c # u $ X $'"),
+        ("Z # a b c # u $ X $ q", "template symbol 'q' is outside the system alphabet"),
+        ("Z # a b c # q $ X $", "template symbol 'q' is outside the system alphabet"),
+    ],
+)
+def test_closure_bad_ctgr_template_is_usage_error(capsys, tmp_path, template, message):
+    dump = tmp_path / "d"
+    dump.write_text(ctgr_dump(template))
+    code, _, err = run(capsys, "closure", dump, "--max-len", 6)
+    assert code == 2
+    assert message in err and len(err.strip().splitlines()) == 1
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [

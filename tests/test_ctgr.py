@@ -4,6 +4,7 @@ import random
 import warnings
 
 import pytest
+from hypothesis import given, strategies as st
 
 from tgrkit import (
     CTGRSystem,
@@ -12,6 +13,7 @@ from tgrkit import (
     PCTemplate,
     TGRSystem,
     closure_pc,
+    load_dump,
     parse_tau,
     recombine,
     recombine_pc,
@@ -22,7 +24,7 @@ from tgrkit import (
 )
 from tgrkit.ctgr import parse_template_file, parse_template_line, template_line
 from tgrkit.tgr import InertTemplateWarning, _Engine, step_events
-from tgrkit.words import make_alphabet
+from tgrkit.words import make_alphabet, shortlex_key
 
 SIGMA = ["X", "Z", "B", "B1", "B2", "S", "Y", "a", "b", "c", "v", "u", "Q"]
 
@@ -137,6 +139,85 @@ def test_tau_round_trip():
         pc_template("X B", "a b c", "Z", c1=[], c2=["Y", "a b"]),
     ]:
         assert parse_tau(tau(tp)) == tp
+
+
+TAU_SYMBOLS = st.sampled_from(["a", "b", "c", "X"])
+TAU_WORDS = st.lists(TAU_SYMBOLS, max_size=3).map(tuple)
+# Empty, one-word and multi-word context sets; an empty word in a set is dropped.
+CONTEXT_SETS = st.frozensets(TAU_WORDS, max_size=4)
+PC_TEMPLATES = st.builds(
+    PCTemplate,
+    TAU_WORDS,
+    st.lists(TAU_SYMBOLS, min_size=1, max_size=4).map(tuple),
+    TAU_WORDS,
+    CONTEXT_SETS,
+    CONTEXT_SETS,
+)
+
+
+def spelled_tau(tp):
+    """The canonical tau word, written out independently of ctgr.tau."""
+    def ctx(c):
+        return " & ".join(" ".join(w) for w in sorted(c, key=shortlex_key))
+    parts = [" ".join(tp.e1), "#", " ".join(tp.body), "#", " ".join(tp.d1), "$", ctx(tp.c1),
+             "$", ctx(tp.c2)]
+    return tuple(" ".join(parts).split())
+
+
+@given(PC_TEMPLATES)
+def test_tau_round_trip_property(tp):
+    w = tau(tp)
+    assert w == spelled_tau(tp)
+    parsed = parse_tau(w)
+    assert parsed == tp
+    assert tau(parsed) == w
+
+
+@given(PC_TEMPLATES)
+def test_cached_tau_equals_a_fresh_serialization(tp):
+    first = tau(tp)
+    assert tau(tp) is first  # computed once, then read back
+    fresh = PCTemplate(tp.e1, tp.body, tp.d1, tp.c1, tp.c2)
+    assert tau(fresh) == first == spelled_tau(tp)
+
+
+@given(PC_TEMPLATES, st.randoms(use_true_random=False), st.integers(0, 2), st.integers(0, 2))
+def test_any_spelling_parses_to_the_canonical_tau(tp, rng, duplicates, empties):
+    def spelling(c):
+        ws = list(c) + (rng.choices(sorted(c), k=duplicates) if c else []) + [()] * empties
+        rng.shuffle(ws)
+        return " & ".join(" ".join(w) for w in ws)
+    text = (f"{' '.join(tp.e1)} # {' '.join(tp.body)} # {' '.join(tp.d1)} $ "
+            f"{spelling(tp.c1)} $ {spelling(tp.c2)}")
+    parsed = parse_tau(word(text))
+    assert parsed == tp
+    assert tau(parsed) == spelled_tau(tp)
+
+
+def test_loaded_templates_have_canonical_taus():
+    dump = "\n".join([
+        "tgrkit-dump ctgr", "n1 1", "n2 1", "alphabet X Z a b c u", "BASE", "X a b c",
+        "TEMPLATES",
+        "Z # a b c # u $ X & a b $",
+        "Z # a b c # u $ a b & X $",  # the same template, its context words out of order
+        "# a b c # $ & $",  # two empty context words: no context at all
+        "END",
+    ]) + "\n"
+    templates = load_dump(dump).system.templates
+    assert [word_text(tau(tp)) for tp in templates] == ["# a b c # $ $", "Z # a b c # u $ X & a b $"]
+
+
+@pytest.mark.parametrize("bad", [
+    pc_template("Z", "a b c", "u", c1=["X"], c2=["q"]),
+    pc_template("Z", "a b c", "q", c1=["X"]),
+], ids=["in-c2", "in-d1"])
+def test_template_symbol_outside_alphabet_is_named(bad):
+    # In tau order: `good`, then `bad`, then `later`, whose "r" comes too late to be named.
+    good = pc_template("@", "a b c", "@")
+    later = pc_template("Z", "a b c a b c", "u", c1=["X"], c2=["r"])
+    with pytest.raises(ValueError) as exc:
+        pc_system([later, bad, good], alphabet=["X", "Z", "a", "b", "c", "u"])
+    assert str(exc.value) == "template symbol 'q' is outside the system alphabet"
 
 
 @pytest.mark.parametrize("sym", ["#", "$", "&"])

@@ -24,6 +24,7 @@ from tgrkit import (
     word_text,
 )
 from tgrkit.ctgr import PCTemplate, closure_pc
+from tgrkit.patterns import pattern_text
 from tgrkit.recompile import (
     B,
     B1,
@@ -187,7 +188,7 @@ def test_pipeline_includes_ab_at_sufficient_rounds(cr, anbn):
     lang, _ = pipeline_language_pc(cr, 4, max_len=16, max_rounds=24)
     assert word("a b") in lang.words
     report = soundness_check(cr, anbn, 4, max_len=16, max_rounds=26)
-    assert report.ok and not report.unknowns
+    assert report.verdict == "sound"
     assert word("a b") in report.produced
 
 
@@ -262,7 +263,7 @@ def test_soundness_check_flags_short_deletion_context(cr, anbn):
         template_provenance=cr.template_provenance,
     )
     report = soundness_check(mutated, anbn, 4, max_len=16, max_rounds=24)
-    assert not report.ok
+    assert report.verdict == "unsound"
     assert word("a a b") in report.non_members or word("b a b") in report.non_members
 
 
@@ -270,6 +271,17 @@ def test_filtered_outputs_are_over_terminals(cr):
     lang, _ = pipeline_language_pc(cr, 4, max_len=14, max_rounds=24)
     for w in lang.words:
         assert all(s in cr.grammar.terminals for s in w)
+
+
+def test_loaded_dump_keeps_templates_in_order_and_shares_context_sets(cr):
+    loaded = load_dump(dump_compiled_re(cr))
+    assert loaded.system.templates == cr.system.templates
+    assert loaded.base.words == cr.base.words
+    assert pattern_text(loaded.filter) == pattern_text(cr.filter)
+    assert loaded.coding.mapping == dict(cr.coding.mapping)
+    # One set object per distinct context set.
+    sets = [c for tp in loaded.system.templates for c in (tp.c1, tp.c2)]
+    assert len({id(c) for c in sets}) == len(set(sets))
 
 
 @pytest.mark.parametrize("name", ["anbn.kuroda", "single_a.kuroda"])
