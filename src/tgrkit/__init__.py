@@ -43,7 +43,6 @@ from .ctgr import (
     PCTemplate,
     closure_pc,
     parse_tau,
-    parse_template_file,
     recombine_pc,
     tau,
 )

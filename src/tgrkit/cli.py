@@ -69,7 +69,7 @@ def cmd_closure(args) -> int:
     if args.base:
         base = parse_language(_read(args.base), loaded.system.alphabet)
     # closure_pc is closure under its own name, by which the benchmark attributes contextual runs.
-    run = closure if loaded.kind == "tgr" else closure_pc
+    run = closure if loaded.system.kind == "tgr" else closure_pc
     result = run(loaded.system, base, args.max_len, args.max_rounds, args.max_set_size)
     if args.format == "lines":
         out = _caps_lines(args)

@@ -22,7 +22,7 @@ from .tgr import Parts, System
 # contexts, so both kinds share tgr's engine; closure_pc and recombine_pc are aliases.
 from .tgr import closure as closure_pc
 from .tgr import recombine as recombine_pc
-from .words import Word, shortlex_key, word, word_text
+from .words import Word, shortlex_key, word_text
 
 HASH = "#"
 DOLLAR = "$"
@@ -47,7 +47,7 @@ class PCTemplate:
 
 
 def tau(tp: PCTemplate) -> Word:
-    """Canonical word form: e1 # body # d1 $ c1-words $ c2-words.
+    """Canonical word form, a template's one text form: e1 # body # d1 $ c1-words $ c2-words.
 
     Context words are listed in shortlex order and separated by "&"; this
     makes equal templates have equal tau words.  The word is computed once
@@ -97,62 +97,13 @@ def _context(seg: Word, sets: dict) -> tuple[frozenset[Word], bool]:
     return sets[seg]
 
 
-def template_line(tp: PCTemplate) -> str:
-    c1 = " ; ".join(word_text(w) for w in sorted(tp.c1, key=shortlex_key))
-    c2 = " ; ".join(word_text(w) for w in sorted(tp.c2, key=shortlex_key))
-    return (
-        f"{word_text(tp.e1)} | {word_text(tp.body)} | {word_text(tp.d1)}"
-        f" | C1: {c1} | C2: {c2}"
-    )
-
-
-def parse_template_line(line: str) -> PCTemplate:
-    """Parse `e1 | body | d1 | C1: w1 ; w2 | C2: w1` with "@" for the empty word."""
-    fields = [f.strip() for f in line.split("|")]
-    if len(fields) != 5:
-        raise FormatError(f"template line needs 5 '|'-separated fields: {line!r}")
-    e1_t, body_t, d1_t, c1_t, c2_t = fields
-    if not c1_t.startswith("C1:") or not c2_t.startswith("C2:"):
-        raise FormatError(f"context fields must start with 'C1:' / 'C2:': {line!r}")
-
-    def ctx(text: str) -> frozenset[Word]:
-        text = text.partition(":")[2].strip()
-        if not text:
-            return frozenset()
-        return frozenset(word(part) for part in text.split(";"))
-
-    return PCTemplate(word(e1_t), word(body_t), word(d1_t), ctx(c1_t), ctx(c2_t))
-
-
-def parse_template_file(text: str) -> tuple[PCTemplate, ...]:
-    """Parse a template file: one template line each, "# " comments, blanks skipped."""
-    templates = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        if not raw.strip() or raw.startswith("# "):
-            continue
-        try:
-            templates.append(parse_template_line(raw))
-        except FormatError as exc:
-            raise FormatError(str(exc), line=lineno) from None
-    return tuple(templates)
-
-
 @dataclass(frozen=True)
 class CTGRSystem(System):
-    templates: tuple[PCTemplate, ...]
+    kind = "ctgr"
+    reserved = frozenset({HASH, DOLLAR, AMP})  # tau and parse_tau's separators
 
-    def __post_init__(self):
-        # tau and parse_tau use these as separators, so they cannot be symbols.
-        reserved = self.alphabet & {HASH, DOLLAR, AMP}
-        if reserved:
-            raise ValueError(f"system alphabet contains tau separators: {sorted(reserved)}")
-        # Shortlex order of tau plus dedup by tau, so iteration and dumps are stable;
-        # a stable sort by length after a plain sort is shortlex without a key per word.
-        by_tau = {tau(tp): tp for tp in self.templates}
-        order = sorted(sorted(by_tau), key=len)
-        object.__setattr__(self, "templates", tuple(by_tau[t] for t in order))
-        super().__post_init__()
+    def word(self, tp: PCTemplate) -> Word:
+        return tau(tp)
 
     def parts(self, tp: PCTemplate) -> Parts:
         return tp.e1, tp.body, tp.d1, tp.c1, tp.c2
-

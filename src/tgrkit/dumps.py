@@ -2,8 +2,8 @@
 
 A dump is line-oriented: a header (kind, n1, n2, alphabet), then sections
 BASE / TEMPLATES / FILTER / CODING / PROVENANCE and END, with words in the
-core word format and shortlex ordering throughout.  Contextual templates
-are written as their tau words.
+core word format and shortlex ordering throughout.  Templates are written
+as their system's canonical words: tau words for contextual templates.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .ctgr import CTGRSystem, parse_tau, tau
+from .ctgr import CTGRSystem, parse_tau
 from .errors import FormatError
 from .patterns import Pattern, parse_pattern, pattern_text
 from .tgr import System, TGRSystem
@@ -22,11 +22,11 @@ if TYPE_CHECKING:
     from .regcompile import CompiledRegular
 
 SECTIONS = ("BASE", "TEMPLATES", "FILTER", "CODING", "PROVENANCE")
+SYSTEMS = {cls.kind: cls for cls in (TGRSystem, CTGRSystem)}
 
 
 @dataclass(frozen=True)
 class LoadedDump:
-    kind: str  # "tgr" | "ctgr"
     system: System
     base: FiniteLanguage
     filter: Pattern | None
@@ -36,20 +36,16 @@ class LoadedDump:
 def dump_text(cr: CompiledRegular | CompiledRE) -> str:
     """The dump of a compiled pipeline; load_dump reads it back."""
     system = cr.system
-    if isinstance(system, TGRSystem):
-        kind, templates = "tgr", list(system.templates)
-    else:
-        kind, templates = "ctgr", [tau(tp) for tp in system.templates]
     coding = sorted(cr.coding.mapping.items())
     lines = [
-        f"tgrkit-dump {kind}",
+        f"tgrkit-dump {system.kind}",
         f"n1 {system.n1}",
         f"n2 {system.n2}",
         "alphabet " + " ".join(sorted(system.alphabet)),
         "BASE",
         *(word_text(w) for w in cr.base),
         "TEMPLATES",
-        *(word_text(w) for w in templates),
+        *(word_text(system.word(t)) for t in system.templates),
         "FILTER",
         pattern_text(cr.filter),
         "CODING",
@@ -67,11 +63,10 @@ def load_dump(text: str) -> LoadedDump:
     if not lines or not lines[0].startswith("tgrkit-dump "):
         raise FormatError("not a tgrkit dump (missing 'tgrkit-dump' header)")
     kind = " ".join(lines[0].split()[1:])  # the header is the kind alone
-    if kind not in ("tgr", "ctgr"):
+    if kind not in SYSTEMS:
         raise FormatError(f"unknown dump kind {kind!r}")
 
-    minima = {"n1": 1, "n2": 1}
-    alphabet: frozenset[str] | None = None
+    header: dict = {}  # n1, n2, alphabet: each given at most once
     section: str | None = None
     base_words: set[Word] = set()
     templates: list = []  # words, or templates parsed from tau words
@@ -94,13 +89,15 @@ def load_dump(text: str) -> LoadedDump:
             continue
         if section is None:
             key, _, rest = line.partition(" ")
-            if key in minima:
+            if key in header:
+                raise FormatError(f"repeated header line {key!r}", line=lineno)
+            if key in ("n1", "n2"):
                 if not rest.isdecimal() or int(rest) < 1:
                     msg = f"{key} must be a positive integer, got {rest!r}"
                     raise FormatError(msg, line=lineno)
-                minima[key] = int(rest)
+                header[key] = int(rest)
             elif key == "alphabet":
-                alphabet = make_alphabet(rest.split())
+                header[key] = make_alphabet(rest.split())
             else:
                 raise FormatError(f"unexpected header line {line!r}", line=lineno)
         elif section == "BASE":
@@ -112,6 +109,8 @@ def load_dump(text: str) -> LoadedDump:
             except FormatError as exc:
                 raise FormatError(str(exc), line=lineno) from None
         elif section == "FILTER":
+            if filter_text is not None:
+                raise FormatError("FILTER holds one pattern line, found a second", line=lineno)
             filter_text = line
         elif section == "CODING":
             fields = line.split()
@@ -119,26 +118,17 @@ def load_dump(text: str) -> LoadedDump:
                 msg = f"bad coding line {line!r}: expected 'sym -> image'"
                 raise FormatError(msg, line=lineno)
             sym, _arrow, image = fields
+            if sym in coding_map:
+                raise FormatError(f"symbol {sym!r} is coded twice", line=lineno)
             coding_map[sym] = None if image == "@" else image
         elif section == "PROVENANCE":
             pass  # informational only
 
+    alphabet = header.pop("alphabet", None)
     if alphabet is None:
         raise FormatError("dump is missing the 'alphabet' header line")
-
-    system: System
-    if kind == "tgr":
-        system = TGRSystem(
-            templates=FiniteLanguage(frozenset(templates), alphabet),
-            alphabet=alphabet,
-            **minima,
-        )
-    else:
-        system = CTGRSystem(templates=tuple(templates), alphabet=alphabet, **minima)
-
     return LoadedDump(
-        kind=kind,
-        system=system,
+        system=SYSTEMS[kind](templates, alphabet, **header),
         base=FiniteLanguage(frozenset(base_words), alphabet),
         filter=parse_pattern(filter_text) if filter_text else None,
         coding=WeakCoding(coding_map) if coding_map else None,

@@ -24,8 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .ctgr import AMP, DOLLAR, HASH, CTGRSystem, PCTemplate, closure_pc
-from .ctgr import recombine_pc, tau
+from .ctgr import CTGRSystem, PCTemplate, closure_pc, recombine_pc, tau
 from .dumps import dump_text
 from .errors import FormatError, TraceError
 from .grammars import KurodaGrammar, Rule, SearchCaps, Verdict, derivation_steps, membership
@@ -43,7 +42,6 @@ B1 = "B1"
 B2 = "B2"
 BLOCK: Word = (B, B1, B2)
 FIXED_MARKERS = frozenset({X, XP, Y, Z, ZP, B, B1, B2})
-RESERVED_TOKENS = frozenset({HASH, DOLLAR, AMP})
 
 FREE: frozenset[Word] = frozenset()
 NEEDS_X = frozenset({(X,)})
@@ -138,7 +136,7 @@ def compile_kuroda(g: KurodaGrammar) -> CompiledRE:
     """Build the contextual system, base language, filter and coding for g."""
     symbols = g.nonterminals | g.terminals
     u = symbols | {B, B1, B2}
-    clashes = symbols & (FIXED_MARKERS | RESERVED_TOKENS | {rotating_marker(b) for b in u})
+    clashes = symbols & (FIXED_MARKERS | CTGRSystem.reserved | {rotating_marker(b) for b in u})
     if clashes:
         raise FormatError(
             f"grammar symbols clash with reserved marker tokens: {sorted(clashes)}"

@@ -77,8 +77,7 @@ def compile_regular(g: RegularGrammar) -> CompiledRegular:
             add(tmpl_prov, (a, x, a), f"T2 {x} -> {a} {x}")
 
     base = FiniteLanguage(frozenset(base_prov), sigma_prime)
-    templates = FiniteLanguage(frozenset(tmpl_prov), sigma_prime)
-    system = TGRSystem(templates=templates, alphabet=sigma_prime, n1=1, n2=1)
+    system = TGRSystem(templates=tmpl_prov, alphabet=sigma_prime, n1=1, n2=1)
 
     # The filter accepts exactly the two terminal encoding shapes:
     # S (a X)* a #  and  S (a X)* # #.

@@ -50,7 +50,12 @@ class InertTemplateWarning(UserWarning):
 
 @dataclass(frozen=True)
 class System:
-    """Either system kind: a kind gives each template's `parts` and runs its own checks first."""
+    """Either system kind; `templates` is kept as a tuple in shortlex order of their words.
+
+    A kind gives, as class attributes and not fields, its `kind` name and the
+    symbols `reserved` by its template words, and for each template its
+    canonical `word` and its `parts`.  Templates with equal words are one.
+    """
 
     templates: Iterable
     alphabet: Alphabet
@@ -60,6 +65,14 @@ class System:
     def __post_init__(self):
         if self.n1 < 1 or self.n2 < 1:
             raise ValueError(f"length minima must be positive, got n1={self.n1}, n2={self.n2}")
+        clash = self.alphabet & self.reserved
+        if clash:
+            raise ValueError(f"system alphabet contains symbols that {self.kind} template words "
+                             f"reserve: {sorted(clash)}")
+        # A stable sort by length after a plain sort is shortlex without a key per word.
+        by_word = {self.word(t): t for t in self.templates}
+        order = sorted(sorted(by_word), key=len)
+        object.__setattr__(self, "templates", tuple(by_word[w] for w in order))
         least = 2 * self.n1 + self.n2
         used: set[str] = set()
         inert = []  # bodies too short to split
@@ -77,8 +90,12 @@ class System:
                 f"{len(inert)} template(s) have bodies shorter than 2*n1+n2={least} "
                 f"and can never fire, e.g. {word_text(inert[0])!r}",
                 InertTemplateWarning,
-                stacklevel=4,  # the kind's constructor's caller
+                stacklevel=3,  # the constructor's caller
             )
+
+    def word(self, t) -> Word:
+        """t's canonical word: equal words are equal templates, and dumps write it."""
+        raise NotImplementedError
 
     def parts(self, t) -> Parts:
         """t's (e1, body, d1, c1, c2): deletion contexts, the body to split, permitting contexts."""
@@ -91,12 +108,11 @@ class System:
 
 @dataclass(frozen=True)
 class TGRSystem(System):
-    templates: FiniteLanguage
+    kind = "tgr"
+    reserved = frozenset()
 
-    def __post_init__(self):
-        if not (self.templates.alphabet <= self.alphabet):
-            raise ValueError("template alphabet is not contained in the system alphabet")
-        super().__post_init__()
+    def word(self, t: Word) -> Word:
+        return t
 
     def parts(self, t: Word) -> Parts:
         return (), t, (), frozenset(), frozenset()

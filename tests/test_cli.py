@@ -227,8 +227,7 @@ def test_engine_output_digest_is_pinned(capsys, tmp_path, argv, digest):
 def broken_regular(g):
     """compile_regular without the template `a S b` and with the non-member base word `S a #`."""
     cr = compile_regular(g)
-    templates = cr.system.templates
-    kept = FiniteLanguage(templates.words - {word("a S b")}, templates.alphabet)
+    kept = [t for t in cr.system.templates if t != word("a S b")]
     base = FiniteLanguage(cr.base.words | {word("S a #")}, cr.base.alphabet)
     return replace(cr, system=TGRSystem(kept, cr.system.alphabet), base=base)
 
@@ -327,6 +326,17 @@ def test_usage_error_exit_code(capsys):
             "pattern nests parentheses and stars deeper than 100",
             id="deep-filter",
         ),
+        # A second filter, coding or header line is an error, not a silent override.
+        pytest.param(
+            "{S}({a,b}{S})*({a,b}{#}|{#}{#})",
+            "{S}({a,b}{S})*({a,b}{#}|{#}{#})\n{S}",
+            "line 13: FILTER holds one pattern line, found a second",
+            id="second-filter",
+        ),
+        pytest.param("S -> @", "S -> @\nS -> a", "line 16: symbol 'S' is coded twice",
+                     id="second-coding"),
+        pytest.param("n1 1", "n1 1\nn1 2", "line 3: repeated header line 'n1'", id="second-n1"),
+        ("a S b", "a q b", "template symbol 'q' is outside the system alphabet"),
     ],
 )
 def test_closure_malformed_dump_is_usage_error(capsys, tmp_path, old, new, message):

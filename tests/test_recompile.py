@@ -290,7 +290,7 @@ def test_dump_round_trip(name):
     dump = dump_compiled_re(cr)
     assert dump == dump_compiled_re(cr)  # byte-stable
     loaded = load_dump(dump)
-    assert loaded.kind == "ctgr"
+    assert loaded.system.kind == "ctgr"
     assert loaded.base.words == cr.base.words
     assert {tau(tp) for tp in loaded.system.templates} == {
         tau(tp) for tp in cr.system.templates

@@ -5,7 +5,6 @@ import random
 import pytest
 
 from tgrkit import (
-    FiniteLanguage,
     FormatError,
     RegularGrammar,
     TGRSystem,
@@ -41,7 +40,7 @@ CORPUS = [
 def test_compile_astar_b(astar_b):
     cr = compile_regular(astar_b)
     assert cr.base.words == {word("S a S"), word("S b #")}
-    assert cr.system.templates.words == {word("a S a"), word("a S b")}
+    assert cr.system.templates == (word("a S a"), word("a S b"))
     assert cr.system.alphabet == {"S", "a", "b", "#"}
     # dedup keeps per-group origin in the provenance
     labels = {lab.split()[0] for lab in cr.base_provenance[word("S a S")]}
@@ -151,9 +150,7 @@ def test_equiv_check_corpus(name):
 def test_equiv_check_flags_mutation(astar_b):
     cr = compile_regular(astar_b)
     crippled = TGRSystem(
-        templates=FiniteLanguage(
-            cr.system.templates.words - {word("a S b")}, cr.system.alphabet
-        ),
+        templates=[t for t in cr.system.templates if t != word("a S b")],
         alphabet=cr.system.alphabet,
         n1=1,
         n2=1,
@@ -197,9 +194,9 @@ def test_dump_round_trip(name):
     dump = dump_text(cr)
     assert dump == dump_text(cr)  # byte-stable
     loaded = load_dump(dump)
-    assert loaded.kind == "tgr"
+    assert loaded.system.kind == "tgr"
     assert loaded.base.words == cr.base.words
-    assert loaded.system.templates.words == cr.system.templates.words
+    assert loaded.system.templates == cr.system.templates
     assert loaded.coding.mapping == dict(cr.coding.mapping)
     for w in [word("S a S b #"), word("S b"), word("S # #"), *cr.base]:
         assert matches(loaded.filter, w) == matches(cr.filter, w)

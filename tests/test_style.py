@@ -45,13 +45,33 @@ def test_private_names_are_used():
     assert not unused
 
 
+def calls(text: str) -> list[str]:
+    return [node.func.id for node in ast.walk(ast.parse(text))
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)]
+
+
 def test_tgr_is_kind_agnostic():
     # Both system kinds reach tgr only through tgr.System and its `parts`.
     text = (SRC / "tgr.py").read_text(encoding="utf-8")
     assert "CTGRSystem" not in text and "template_splits" not in text
-    calls = [node.func.id for node in ast.walk(ast.parse(text))
-             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)]
-    assert "isinstance" not in calls
+    assert "isinstance" not in calls(text)
+
+
+def test_dumps_and_tau_separators_stay_with_their_kind():
+    # Dumps reach a kind only through its `kind` and `word`; only ctgr knows
+    # the tau separators, which other modules see as `CTGRSystem.reserved`.
+    assert "isinstance" not in calls((SRC / "dumps.py").read_text(encoding="utf-8"))
+    for path in SRC.glob("*.py"):
+        if path.name != "ctgr.py":
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+            names |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                      for alias in node.names}
+            assert not names & {"HASH", "DOLLAR", "AMP"}, path.name
+    for name in ("tgr.py", "dumps.py"):
+        tree = ast.parse((SRC / name).read_text(encoding="utf-8"))
+        strings = {node.value for node in ast.walk(tree) if isinstance(node, ast.Constant)}
+        assert not strings & {"#", "$", "&"}, name
 
 
 def bench_module(monkeypatch, name):

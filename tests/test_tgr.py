@@ -1,15 +1,16 @@
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import random
 import warnings
 
 import pytest
+from hypothesis import given, strategies as st
 
 from tgrkit import (
     CTGRSystem,
     FiniteLanguage,
-    FormatError,
     PCTemplate,
     TGRSystem,
     closure,
@@ -23,7 +24,7 @@ from tgrkit.errors import ResourceLimitError
 from tgrkit.tgr import InertTemplateWarning
 from tgrkit.words import make_alphabet, shortlex_key
 
-from test_ctgr import pc_system, random_pc_templates
+from test_ctgr import PC_TEMPLATES, pc_system, random_pc_templates
 
 
 def system(templates, alphabet, n1=1, n2=1, quiet=False):
@@ -238,27 +239,46 @@ def test_derivation_trace_events_chain():
 
 @pytest.mark.parametrize("kind", [TGRSystem, CTGRSystem], ids=lambda kind: kind.__name__)
 def test_system_validation(kind):
-    def make(templates, n1=1, n2=1):
+    def templates(ts):
         if kind is TGRSystem:
-            return system(set(templates), "ab", n1, n2)
-        tps = [t if isinstance(t, PCTemplate) else PCTemplate((), t, (), set(), set())
-               for t in templates]
-        return CTGRSystem(tuple(tps), make_alphabet("ab"), n1, n2)
+            return ts
+        return [t if isinstance(t, PCTemplate) else PCTemplate((), t, (), set(), set()) for t in ts]
 
+    def make(ts, n1=1, n2=1):
+        return kind(templates(ts), make_alphabet("ab"), n1, n2)
+
+    # kind and reserved are class constants; as fields they would default to no reserved symbols.
+    assert [f.name for f in dataclasses.fields(kind)] == ["templates", "alphabet", "n1", "n2"]
     for n1, n2 in ((0, 1), (1, 0)):
         with pytest.raises(ValueError, match="length minima must be positive"):
             make([word("a b a")], n1, n2)
-    # A plain template's language rejects the symbol first, naming it too.
-    with pytest.raises((ValueError, FormatError), match="symbol 'q'.* outside"):
+    with pytest.raises(ValueError, match="template symbol 'q' is outside"):
         make([word("a q b")])
-    if kind is TGRSystem:
-        with pytest.raises(ValueError, match="template alphabet is not contained"):
-            TGRSystem(lang({word("a b a")}, "abq"), make_alphabet("ab"))
-    else:
+    if kind is CTGRSystem:
         with pytest.raises(ValueError, match="template symbol 'q' is outside"):
             make([PCTemplate((), word("a b a"), (), {word("q")}, set())])
-    with pytest.warns(InertTemplateWarning, match="^2 .*can never fire"):
-        make([word("a b"), word("b"), word("a b a")])
+    with pytest.warns(InertTemplateWarning, match="^2 .*can never fire") as record:
+        kind(templates([word("a b"), word("b"), word("a b a")]), make_alphabet("ab"))
+    # The warning points at the line that called the constructor, here, for both kinds.
+    assert [w.filename for w in record] == [__file__]
+
+
+PLAIN_TEMPLATES = st.lists(st.sampled_from(["a", "b", "c", "X"]), max_size=5).map(tuple)
+
+
+@pytest.mark.parametrize(
+    "kind, templates", [(TGRSystem, PLAIN_TEMPLATES), (CTGRSystem, PC_TEMPLATES)],
+    ids=["TGRSystem", "CTGRSystem"],
+)
+@given(data=st.data())
+def test_templates_are_distinct_and_in_shortlex_order_of_their_words(kind, templates, data):
+    distinct = data.draw(st.lists(templates, max_size=8, unique=True))
+    repeats = data.draw(st.lists(st.sampled_from(distinct), max_size=4)) if distinct else []
+    given_templates = data.draw(st.permutations(distinct + repeats))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", InertTemplateWarning)
+        sys = kind(given_templates, make_alphabet("abcX"))
+    assert sys.templates == tuple(sorted(distinct, key=lambda t: shortlex_key(sys.word(t))))
 
 
 def test_derivation_trace_prefers_shortlex_least_x_then_y():
