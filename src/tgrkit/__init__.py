@@ -41,13 +41,10 @@ from .tgr import (
 from .ctgr import (
     CTGRSystem,
     PCTemplate,
-    closure_pc,
     parse_tau,
-    recombine_pc,
     tau,
 )
 from .regcompile import (
-    CompiledRegular,
     ComplexityReport,
     EquivReport,
     compile_regular,
@@ -56,17 +53,15 @@ from .regcompile import (
     pipeline_language,
 )
 from .recompile import (
-    CompiledRE,
     SimulationTrace,
     SoundnessReport,
     compile_kuroda,
-    dump_compiled_re,
     pipeline_language_pc,
     rotate_cycle,
     simulate_derivation,
     soundness_check,
 )
-from .dumps import LoadedDump, load_dump
+from .dumps import Compiled, LoadedDump, dump_text, load_dump
 from .errors import (
     CodingDomainError,
     FormatError,

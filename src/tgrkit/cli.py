@@ -13,13 +13,14 @@ import argparse
 import sys
 from pathlib import Path
 
-from .ctgr import closure_pc
 from .dumps import dump_text, load_dump
 from .errors import ResourceLimitError, TgrkitError, TraceError
 from .grammars import Grammar, KurodaGrammar, RegularGrammar, parse_grammar
 from .recompile import compile_kuroda, simulate_derivation, soundness_check, trace_lines
 from .regcompile import compile_regular, complexity_report, equiv_check
 from .tgr import closure, derivation_trace
+# The benchmark attributes closures over contextual dumps by this name.
+from .tgr import closure as closure_pc
 from .words import parse_language, word, word_text
 
 EXIT_OK = 0
@@ -68,7 +69,6 @@ def cmd_closure(args) -> int:
     base = loaded.base
     if args.base:
         base = parse_language(_read(args.base), loaded.system.alphabet)
-    # closure_pc is closure under its own name, by which the benchmark attributes contextual runs.
     run = closure if loaded.system.kind == "tgr" else closure_pc
     result = run(loaded.system, base, args.max_len, args.max_rounds, args.max_set_size)
     if args.format == "lines":
@@ -93,14 +93,14 @@ def cmd_closure(args) -> int:
 def cmd_check(args) -> int:
     caps = dict(max_len=args.max_len, max_rounds=args.max_rounds, max_set_size=args.max_set_size)
     if args.kind == "reg":
-        g = _load_grammar(args.grammar, RegularGrammar)
-        report = equiv_check(compile_regular(g), g, args.k, **caps)
+        cr = compile_regular(_load_grammar(args.grammar, RegularGrammar))
+        report = equiv_check(cr, args.k, **caps)
         groups = {"missing": report.missing, "extra": report.extra}
         listed = tuple(groups)  # the groups the human format lists
         summary = f"pipeline vs grammar enumeration up to length {args.k}"
     else:
-        g = _load_grammar(args.grammar, KurodaGrammar)
-        report = soundness_check(compile_kuroda(g), g, args.k, **caps)
+        cr = compile_kuroda(_load_grammar(args.grammar, KurodaGrammar))
+        report = soundness_check(cr, args.k, **caps)
         groups = {"produced": report.produced, "non-member": report.non_members,
                   "unknown": report.unknowns}
         listed = ("non-member",)
@@ -155,8 +155,7 @@ def cmd_trace(args) -> int:
 
 
 def cmd_report(args) -> int:
-    g = _load_grammar(args.grammar, RegularGrammar)
-    rep = complexity_report(compile_regular(g), g)
+    rep = complexity_report(compile_regular(_load_grammar(args.grammar, RegularGrammar)))
     if args.format == "lines":
         out = [
             f"rules {rep.rule_count}",

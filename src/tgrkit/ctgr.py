@@ -17,11 +17,6 @@ from itertools import groupby
 
 from .errors import FormatError
 from .tgr import Parts, System
-
-# A plain template is a contextual one with empty deletion and permitting
-# contexts, so both kinds share tgr's engine; closure_pc and recombine_pc are aliases.
-from .tgr import closure as closure_pc
-from .tgr import recombine as recombine_pc
 from .words import Word, shortlex_key, word_text
 
 HASH = "#"

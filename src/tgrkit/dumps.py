@@ -1,30 +1,40 @@
 """Writer and loader for the compiled-system dump format (both system kinds).
 
 A dump is line-oriented: a header (kind, n1, n2, alphabet), then sections
-BASE / TEMPLATES / FILTER / CODING / PROVENANCE and END, with words in the
-core word format and shortlex ordering throughout.  Templates are written
-as their system's canonical words: tau words for contextual templates.
+BASE / TEMPLATES / FILTER / CODING / PROVENANCE, then END and nothing but
+blank lines.  Words are in the core word format and in shortlex order, and
+templates are their system's canonical words: tau words for contextual ones.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from .ctgr import CTGRSystem, parse_tau
 from .errors import FormatError
+from .grammars import Grammar
 from .patterns import Pattern, parse_pattern, pattern_text
 from .tgr import System, TGRSystem
 from .words import FiniteLanguage, WeakCoding, Word, make_alphabet, sort_words, word, word_text
-
-if TYPE_CHECKING:
-    from .recompile import CompiledRE
-    from .regcompile import CompiledRegular
 
 SECTIONS = ("BASE", "TEMPLATES", "FILTER", "CODING", "PROVENANCE")
 SYSTEMS = {cls.kind: cls for cls in (TGRSystem, CTGRSystem)}
 
 
+@dataclass(frozen=True)
+class Compiled:
+    """Either construction's output: a grammar's system, base, filter and weak coding."""
+
+    grammar: Grammar
+    system: System
+    base: FiniteLanguage
+    filter: Pattern
+    coding: WeakCoding
+    base_provenance: dict[Word, tuple[str, ...]]
+    template_provenance: dict[Word, tuple[str, ...]]
+
+
+# A dump read back names no grammar, and a hand-written one may omit FILTER and CODING.
 @dataclass(frozen=True)
 class LoadedDump:
     system: System
@@ -33,7 +43,7 @@ class LoadedDump:
     coding: WeakCoding | None
 
 
-def dump_text(cr: CompiledRegular | CompiledRE) -> str:
+def dump_text(cr: Compiled) -> str:
     """The dump of a compiled pipeline; load_dump reads it back."""
     system = cr.system
     coding = sorted(cr.coding.mapping.items())
@@ -82,9 +92,9 @@ def load_dump(text: str) -> LoadedDump:
         # legitimately start with a "#" symbol (codings, tau words).
         if section is None and raw.startswith("# "):
             continue
-        if line == "END":
-            break
-        if line in SECTIONS:
+        if section == "END":
+            raise FormatError(f"unexpected line after END: {line!r}", line=lineno)
+        if line in SECTIONS or line == "END":
             section = line
             continue
         if section is None:
@@ -120,6 +130,8 @@ def load_dump(text: str) -> LoadedDump:
             sym, _arrow, image = fields
             if sym in coding_map:
                 raise FormatError(f"symbol {sym!r} is coded twice", line=lineno)
+            if "alphabet" in header and sym not in header["alphabet"]:
+                raise FormatError(f"coding symbol {sym!r} is outside the alphabet", line=lineno)
             coding_map[sym] = None if image == "@" else image
         elif section == "PROVENANCE":
             pass  # informational only
@@ -127,6 +139,8 @@ def load_dump(text: str) -> LoadedDump:
     alphabet = header.pop("alphabet", None)
     if alphabet is None:
         raise FormatError("dump is missing the 'alphabet' header line")
+    if section != "END":
+        raise FormatError("dump is cut off: no END line")
     return LoadedDump(
         system=SYSTEMS[kind](templates, alphabet, **header),
         base=FiniteLanguage(frozenset(base_words), alphabet),

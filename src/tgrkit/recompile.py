@@ -22,15 +22,19 @@ which the tracer reports explicitly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator
 
-from .ctgr import CTGRSystem, PCTemplate, closure_pc, recombine_pc, tau
-from .dumps import dump_text
+from .ctgr import CTGRSystem, PCTemplate, tau
+from .dumps import Compiled
 from .errors import FormatError, TraceError
 from .grammars import KurodaGrammar, Rule, SearchCaps, Verdict, derivation_steps, membership
-from .patterns import Pattern, matches, seq, star, symbol_class
+from .patterns import matches, seq, star, symbol_class
 from .tgr import RecombinationEvent
 from .words import FiniteLanguage, WeakCoding, Word, sort_words, word_text
+# The benchmark times the contextual kind through these three names, looked up in this module.
+from .dumps import dump_text as dump_compiled_re
+from .tgr import closure as closure_pc, recombine as recombine_pc
 
 X = "X"
 XP = "X'"
@@ -59,6 +63,16 @@ def rotating_marker(b: str) -> str:
     return f"Y_{b}"
 
 
+@lru_cache(maxsize=1)  # _groups makes each b's templates in a row, so one entry is enough
+def _needs_rotating(b: str) -> frozenset[Word]:
+    return frozenset({(rotating_marker(b),)})  # one set per b: rotate-2 templates share it
+
+
+def rotatable(g: KurodaGrammar) -> frozenset[str]:
+    """U, the symbols the content of X ... Y holds: g's symbols and the block B B1 B2."""
+    return g.nonterminals | g.terminals | frozenset(BLOCK)
+
+
 def simulate_template(rule: Rule, c: str, a: str) -> PCTemplate:
     """Group 1: rewrite the redex lhs sitting just before Y into rhs."""
     return PCTemplate((Z,), (c, a) + rule.rhs + (Y,), rule.lhs + (Y,), NEEDS_X, FREE)
@@ -71,7 +85,7 @@ def rotate1_template(b: str, c: str, a: str) -> PCTemplate:
 
 def rotate2_template(b: str, d: str, e: str) -> PCTemplate:
     """Group 3: prepend the remembered b, turning X into X'."""
-    return PCTemplate((X,), (XP, b, d, e), (Z,), FREE, frozenset({(rotating_marker(b),)}))
+    return PCTemplate((X,), (XP, b, d, e), (Z,), FREE, _needs_rotating(b))
 
 
 def rotate3_template(b: str, c: str, a: str) -> PCTemplate:
@@ -120,22 +134,10 @@ def _groups(g: KurodaGrammar, u: list[str]) -> Iterator[tuple[PCTemplate, str, s
                 yield terminate_template(a, b, c), "terminate", "L7 terminate partner"
 
 
-@dataclass(frozen=True)
-class CompiledRE:
-    grammar: KurodaGrammar
-    system: CTGRSystem
-    base: FiniteLanguage
-    filter: Pattern
-    coding: WeakCoding
-    u_alphabet: frozenset[str]
-    base_provenance: dict[Word, tuple[str, ...]]
-    template_provenance: dict[Word, tuple[str, ...]]
-
-
-def compile_kuroda(g: KurodaGrammar) -> CompiledRE:
+def compile_kuroda(g: KurodaGrammar) -> Compiled:
     """Build the contextual system, base language, filter and coding for g."""
     symbols = g.nonterminals | g.terminals
-    u = symbols | {B, B1, B2}
+    u = rotatable(g)
     clashes = symbols & (FIXED_MARKERS | CTGRSystem.reserved | {rotating_marker(b) for b in u})
     if clashes:
         raise FormatError(
@@ -155,19 +157,18 @@ def compile_kuroda(g: KurodaGrammar) -> CompiledRE:
     base = FiniteLanguage(frozenset(base_prov), frozenset(v))
     filter_pattern = seq(star(symbol_class(g.terminals)), symbol_class({Y}))
     coding = WeakCoding({**{a: a for a in g.terminals}, Y: None})
-    return CompiledRE(
+    return Compiled(
         grammar=g,
         system=system,
         base=base,
         filter=filter_pattern,
         coding=coding,
-        u_alphabet=frozenset(u),
         base_provenance={w: tuple(sorted(v_)) for w, v_ in base_prov.items()},
         template_provenance={w: tuple(sorted(v_)) for w, v_ in tmpl_prov.items()},
     )
 
 
-def start_word(cr: CompiledRE) -> Word:
+def start_word(cr: Compiled) -> Word:
     return (X,) + BLOCK + (cr.grammar.start, Y)
 
 
@@ -193,7 +194,7 @@ def trace_lines(trace: SimulationTrace) -> list[str]:
     ]
 
 
-def _fire(cr: CompiledRE, phase: str, tp: PCTemplate, form: Word, expected: Word) -> TraceEvent:
+def _fire(cr: Compiled, phase: str, tp: PCTemplate, form: Word, expected: Word) -> TraceEvent:
     """Re-derive the event of tp on the sentential form and its partner; never fabricate one."""
     if tp not in cr.system.template_set:
         raise TraceError(f"{phase}: required template {word_text(tau(tp))!r} is not in the system")
@@ -207,15 +208,16 @@ def _fire(cr: CompiledRE, phase: str, tp: PCTemplate, form: Word, expected: Word
     return TraceEvent(phase, min(hits, key=lambda e: (e.pos_x, e.pos_y, len(e.beta), len(e.alpha))))
 
 
-def rotate_cycle(cr: CompiledRE, w: Word) -> tuple[list[TraceEvent], Word]:
+def rotate_cycle(cr: Compiled, w: Word) -> tuple[list[TraceEvent], Word]:
     """One full rotation X w b Y -> X b w Y via the four rotation groups."""
     if len(w) < 2 or w[0] != X or w[-1] != Y:
         raise TraceError(f"not a rotatable word: {word_text(w)!r}")
     content = w[1:-1]
     if len(content) < 3:
         raise TraceError(f"content too short to rotate: {word_text(w)!r}")
+    u = rotatable(cr.grammar)
     for sym in content:
-        if sym not in cr.u_alphabet:
+        if sym not in u:
             raise TraceError(f"content symbol {sym!r} is not rotatable")
     b, rest = content[-1], content[:-1]
     yb = rotating_marker(b)
@@ -233,7 +235,7 @@ def rotate_cycle(cr: CompiledRE, w: Word) -> tuple[list[TraceEvent], Word]:
 
 
 def simulate_derivation(
-    cr: CompiledRE, derivation: list[Word] | tuple[Word, ...]
+    cr: Compiled, derivation: list[Word] | tuple[Word, ...]
 ) -> SimulationTrace:
     """Replay a grammar derivation as a validated recombination trace.
 
@@ -305,7 +307,7 @@ def simulate_derivation(
 
 
 def pipeline_language_pc(
-    cr: CompiledRE,
+    cr: Compiled,
     k: int,
     max_len: int,
     max_rounds: int,
@@ -342,8 +344,7 @@ class SoundnessReport:
 
 
 def soundness_check(
-    cr: CompiledRE,
-    g: KurodaGrammar,
+    cr: Compiled,
     k: int,
     max_len: int,
     max_rounds: int,
@@ -357,7 +358,7 @@ def soundness_check(
     non_members = []
     unknowns = []
     for w in produced:
-        verdict = membership(g, w, ORACLE_CAPS)
+        verdict = membership(cr.grammar, w, ORACLE_CAPS)
         if verdict.verdict is Verdict.NON_MEMBER:
             non_members.append(w)
         elif verdict.verdict is Verdict.UNKNOWN:
@@ -369,5 +370,3 @@ def soundness_check(
         fixpoint_reached=fixpoint,
     )
 
-
-dump_compiled_re = dump_text

@@ -13,26 +13,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .dumps import Compiled
 from .errors import FormatError
-from .grammars import RegularGrammar, SearchCaps, enumerate_language
-from .patterns import Pattern, seq, star, symbol_class, alt, matches
+from .grammars import RegularGrammar, enumerate_language
+from .patterns import seq, star, symbol_class, alt, matches
 from .tgr import TGRSystem, closure
 from .words import FiniteLanguage, WeakCoding, Word, sort_words
 
 END = "#"
 
 
-@dataclass(frozen=True)
-class CompiledRegular:
-    system: TGRSystem
-    base: FiniteLanguage
-    filter: Pattern
-    coding: WeakCoding
-    base_provenance: dict[Word, tuple[str, ...]]
-    template_provenance: dict[Word, tuple[str, ...]]
-
-
-def compile_regular(g: RegularGrammar) -> CompiledRegular:
+def compile_regular(g: RegularGrammar) -> Compiled:
     """Build the recombination system, base language, filter and coding for g."""
     if END in g.nonterminals or END in g.terminals:
         raise FormatError(f"grammar may not use the reserved end marker {END!r}")
@@ -94,7 +85,8 @@ def compile_regular(g: RegularGrammar) -> CompiledRegular:
         {**{n: None for n in g.nonterminals}, **{a: a for a in g.terminals}, END: None}
     )
 
-    return CompiledRegular(
+    return Compiled(
+        grammar=g,
         system=system,
         base=base,
         filter=filter_pattern,
@@ -105,7 +97,7 @@ def compile_regular(g: RegularGrammar) -> CompiledRegular:
 
 
 def pipeline_language(
-    cr: CompiledRegular,
+    cr: Compiled,
     k: int,
     max_len: int,
     max_rounds: int,
@@ -127,8 +119,7 @@ def pipeline_language(
     }
     out = frozenset(w for w in decoded if len(w) <= k)
     exhaustive = res.reached_fixpoint and max_len >= 2 * k + 3
-    terminals = frozenset(s for s in cr.coding.mapping if cr.coding.mapping[s] is not None)
-    return FiniteLanguage(out, terminals), exhaustive
+    return FiniteLanguage(out, cr.grammar.terminals), exhaustive
 
 
 @dataclass(frozen=True)
@@ -153,21 +144,21 @@ class ComplexityReport:
         return self.template_bound_holds and self.alphabet_size_matches
 
 
-def complexity_report(cr: CompiledRegular, g: RegularGrammar) -> ComplexityReport:
+def complexity_report(cr: Compiled) -> ComplexityReport:
     """Template and alphabet counts with their bounds.
 
     This construction pairs at most two rules per template, so the template
     count is bounded by the square of the rule count; the older triple-rule
     construction needs the cube.  The alphabet adds exactly one marker.
     """
-    n = len(g.rules)
+    n = len(cr.grammar.rules)
     return ComplexityReport(
         rule_count=n,
         template_count=len(cr.system.templates),
         alphabet_size=len(cr.system.alphabet),
         quadratic_bound=n * n,
         cubic_bound=n * n * n,
-        expected_alphabet_size=len(g.nonterminals) + len(g.terminals) + 1,
+        expected_alphabet_size=len(cr.grammar.nonterminals) + len(cr.grammar.terminals) + 1,
     )
 
 
@@ -188,8 +179,7 @@ class EquivReport:
 
 
 def equiv_check(
-    cr: CompiledRegular,
-    g: RegularGrammar,
+    cr: Compiled,
     k: int,
     max_len: int | None = None,
     max_rounds: int = 256,
@@ -203,7 +193,7 @@ def equiv_check(
     if max_len is None:
         max_len = 2 * k + 3
     got, exhaustive = pipeline_language(cr, k, max_len, max_rounds, max_set_size)
-    want, _ = enumerate_language(g, k, SearchCaps())
+    want, _ = enumerate_language(cr.grammar, k)
     return EquivReport(
         k=k,
         missing=tuple(sort_words(want.words - got.words)),

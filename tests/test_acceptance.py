@@ -27,7 +27,6 @@ from tgrkit import (
     equiv_check,
     pipeline_language_pc,
     recombine,
-    recombine_pc,
     simulate_derivation,
     soundness_check,
     step,
@@ -71,7 +70,7 @@ def test_criterion_1_regular_construction_equivalence():
     for name in CORPUS:
         g = load_grammar(name)
         started = time.monotonic()
-        rep = equiv_check(compile_regular(g), g, k=8, max_len=19, max_rounds=256)
+        rep = equiv_check(compile_regular(g), k=8, max_len=19, max_rounds=256)
         elapsed = time.monotonic() - started
         if rep.verdict != "pass" or not rep.exhaustive or elapsed >= 60:
             failures.append((name, rep.verdict, rep.missing, rep.extra, f"{elapsed:.1f}s"))
@@ -89,7 +88,7 @@ def test_criterion_2_descriptional_complexity_bounds():
     grammars += [random_regular_grammar(rng) for _ in range(100)]
     bad = []
     for g in grammars:
-        rep = complexity_report(compile_regular(g), g)
+        rep = complexity_report(compile_regular(g))
         n = rep.rule_count
         if rep.template_count > n * n or rep.cubic_bound != n**3:
             bad.append(g)
@@ -116,7 +115,7 @@ def test_criterion_3_reduction_to_plain_recombination():
         tp = PCTemplate((), t, (), frozenset({()}), frozenset({()}))
         ctx = quiet_ctgr([tp], syms)
         plain_words = {e.w for e in recombine(plain, x, y, t)}
-        pc_words = {e.w for e in recombine_pc(ctx, x, y, tp)}
+        pc_words = {e.w for e in recombine(ctx, x, y, tp)}
         if plain_words != pc_words:
             mismatches += 1
     elapsed = time.monotonic() - started
@@ -182,7 +181,7 @@ def test_criterion_5_rotate_and_simulate_replay():
             problems.append(("decode", deriv[-1]))
         for te in trace.events:
             ev = te.event
-            if ev not in recombine_pc(cr.system, ev.x, ev.y, ev.template):
+            if ev not in recombine(cr.system, ev.x, ev.y, ev.template):
                 problems.append(("revalidate", te.phase))
         # every complete rotation cycle round-trips X w b Y -> X b w Y
         cycle = []
@@ -221,7 +220,7 @@ def test_criterion_6_re_construction_soundness():
     # a closure round adds at most one event to a chain, so "ab" first
     # appears at the round equal to its shortest witness chain
     depth = len(simulate_derivation(cr, AB_DERIVATION).events)
-    rep = soundness_check(cr, g, k=4, max_len=16, max_rounds=depth)
+    rep = soundness_check(cr, k=4, max_len=16, max_rounds=depth)
     sound = rep.verdict == "sound"
     includes_ab = word("a b") in rep.produced
     detail = (
@@ -289,9 +288,9 @@ def test_criterion_7_engine_invariant_suite():
         tighter = PCTemplate((), t, (), ctx1, frozenset())
         tightest = PCTemplate((), t, (), ctx1 | {tuple(rng.choices(sorted(syms), k=2))}, frozenset())
         sys_ = quiet_ctgr([loose, tighter, tightest], syms)
-        wl = {e.w for e in recombine_pc(sys_, x, y, loose)}
-        wm = {e.w for e in recombine_pc(sys_, x, y, tighter)}
-        ws = {e.w for e in recombine_pc(sys_, x, y, tightest)}
+        wl = {e.w for e in recombine(sys_, x, y, loose)}
+        wm = {e.w for e in recombine(sys_, x, y, tighter)}
+        ws = {e.w for e in recombine(sys_, x, y, tightest)}
         if not (ws <= wm <= wl):
             failures.append(("context-anti-monotonicity", x, y, t))
 

@@ -337,6 +337,12 @@ def test_usage_error_exit_code(capsys):
                      id="second-coding"),
         pytest.param("n1 1", "n1 1\nn1 2", "line 3: repeated header line 'n1'", id="second-n1"),
         ("a S b", "a q b", "template symbol 'q' is outside the system alphabet"),
+        # END ends a dump: it must be there, and only blank lines may follow it.
+        pytest.param("END", "", "dump is cut off: no END line", id="no-end"),
+        pytest.param("END", "END\na S q", "line 24: unexpected line after END: 'a S q'",
+                     id="after-end"),
+        pytest.param("S -> @", "S -> @\nzz -> zz",
+                     "line 16: coding symbol 'zz' is outside the alphabet", id="coding-outside"),
     ],
 )
 def test_closure_malformed_dump_is_usage_error(capsys, tmp_path, old, new, message):

@@ -11,11 +11,10 @@ from tgrkit import (
     FiniteLanguage,
     PCTemplate,
     TGRSystem,
-    closure_pc,
+    closure,
     load_dump,
     parse_tau,
     recombine,
-    recombine_pc,
     step,
     tau,
     word,
@@ -47,20 +46,20 @@ def lang(words, alphabet=SIGMA):
 def test_recombine_pc_simulation_step():
     tp = pc_template("Z", "B1 B2 a Y", "S Y", c1=["X"], c2=["@"])
     sys = pc_system([tp])
-    got = recombine_pc(sys, word("X B B1 B2 S Y"), word("Z B2 a Y"), tp)
+    got = recombine(sys, word("X B B1 B2 S Y"), word("Z B2 a Y"), tp)
     assert {e.w for e in got} == {word("X B B1 B2 a Y")}
 
 
 def test_recombine_pc_blocked_by_permitting_context():
     tp = pc_template("Z", "B1 B2 a Y", "S Y", c1=["Q"], c2=["@"])
     sys = pc_system([tp])
-    assert recombine_pc(sys, word("X B B1 B2 S Y"), word("Z B2 a Y"), tp) == frozenset()
+    assert recombine(sys, word("X B B1 B2 S Y"), word("Z B2 a Y"), tp) == frozenset()
 
 
 def test_recombine_pc_degenerates_to_plain_recombination():
     tp = pc_template("@", "a X b", "@", c1=["@"], c2=["@"])
     csys = pc_system([tp])
-    got = recombine_pc(csys, word("S a X"), word("X b Y"), tp)
+    got = recombine(csys, word("S a X"), word("X b Y"), tp)
     assert {e.w for e in got} == {word("S a X b Y")}
 
 
@@ -79,7 +78,7 @@ def test_reduction_to_plain_tgr_on_random_instances():
         tp = PCTemplate((), t, (), frozenset({()}), frozenset({()}))
         ctx = pc_system([tp], syms, quiet=True)
         plain_words = {e.w for e in recombine(plain, x, y, t)}
-        pc_words = {e.w for e in recombine_pc(ctx, x, y, tp)}
+        pc_words = {e.w for e in recombine(ctx, x, y, tp)}
         assert plain_words == pc_words, (x, y, t)
 
 
@@ -95,15 +94,15 @@ def test_anti_monotone_in_contexts():
         tight_x = PCTemplate((), t, (), frozenset({extra}), frozenset())
         tight_y = PCTemplate((), t, (), frozenset(), frozenset({extra}))
         sys = pc_system([loose, tight_x, tight_y], syms, quiet=True)
-        base = {e.w for e in recombine_pc(sys, x, y, loose)}
-        assert {e.w for e in recombine_pc(sys, x, y, tight_x)} <= base
-        assert {e.w for e in recombine_pc(sys, x, y, tight_y)} <= base
+        base = {e.w for e in recombine(sys, x, y, loose)}
+        assert {e.w for e in recombine(sys, x, y, tight_x)} <= base
+        assert {e.w for e in recombine(sys, x, y, tight_y)} <= base
 
 
 def test_deletion_context_consumption():
     tp = pc_template("Z", "B1 B2 a Y", "S Y", c1=["X"])
     sys = pc_system([tp])
-    (ev,) = recombine_pc(sys, word("X B B1 B2 S Y"), word("Z B2 a Y"), tp)
+    (ev,) = recombine(sys, word("X B B1 B2 S Y"), word("Z B2 a Y"), tp)
     ab = ev.alpha + ev.beta
     # d1 sits right after alpha+beta in x but not at that junction in w
     junction = ev.pos_x + len(ab)
@@ -278,7 +277,7 @@ def test_step_pc_agrees_with_naive_pair_loop():
         for x in words:
             for y in words:
                 for tp in sys.templates:
-                    expect |= {e.w for e in recombine_pc(sys, x, y, tp)}
+                    expect |= {e.w for e in recombine(sys, x, y, tp)}
         got = step(sys, lang(words, syms))
         assert got.words == frozenset(expect)
 
@@ -290,13 +289,13 @@ def test_step_pc_events_match_step_pc():
     events = step_events(sys, language)
     assert {e.w for e in events} == set(step(sys, language).words)
     for ev in events:
-        assert ev in recombine_pc(sys, ev.x, ev.y, ev.template)
+        assert ev in recombine(sys, ev.x, ev.y, ev.template)
 
 
 def test_closure_pc_empty_templates():
     sys = pc_system([])
     start = lang({word("X B B1 B2 S Y")})
-    res = closure_pc(sys, start, max_len=8, max_rounds=4)
+    res = closure(sys, start, max_len=8, max_rounds=4)
     assert res.language.words == start.words and res.reached_fixpoint
 
 
@@ -307,7 +306,7 @@ def test_closure_pc_rounds_nested():
     start = lang({word("X B B1 B2 S Y"), word("Z B2 a Y"), word("Z B2 b Y")})
     prev = start.words
     for rounds in range(1, 4):
-        res = closure_pc(sys, start, max_len=8, max_rounds=rounds)
+        res = closure(sys, start, max_len=8, max_rounds=rounds)
         assert prev <= res.language.words
         prev = res.language.words
 
@@ -316,12 +315,12 @@ def naive_closure(sys, words, max_len, max_rounds, results=None):
     """Round-by-round oracle: every (x, y, template) over the whole set.
 
     `results(x, y, tp)` gives the result words of one triple, by default
-    through recombine_pc.  Returns (words, rounds used, fixpoint reached,
+    through recombine.  Returns (words, rounds used, fixpoint reached,
     truncated by length).
     """
     if results is None:
         def results(x, y, tp):
-            return {e.w for e in recombine_pc(sys, x, y, tp)}
+            return {e.w for e in recombine(sys, x, y, tp)}
     expect, truncated, fixpoint, r = set(words), False, False, 0
     for r in range(1, max_rounds + 1):
         produced = {
@@ -349,7 +348,7 @@ def test_closure_pc_agrees_with_naive_pair_loop():
         sys = pc_system(random_pc_templates(rng, syms, rng.randint(0, 3)), syms, quiet=True)
         max_len = max(map(len, words)) + rng.randint(0, 2)
         max_rounds = rng.randint(0, 3)
-        res = closure_pc(sys, lang(words, syms), max_len, max_rounds)
+        res = closure(sys, lang(words, syms), max_len, max_rounds)
         expect, r, fixpoint, truncated = naive_closure(sys, words, max_len, max_rounds)
         assert res.language.words == expect
         assert (res.rounds_used, res.reached_fixpoint, res.truncated_by_length) == (
@@ -387,7 +386,7 @@ def test_part_classes_keep_cuts_and_contexts_apart():
     for _ in range(30):
         words = {tuple(rng.choices(syms, k=rng.randint(2, 6))) for _ in range(rng.randint(2, 6))}
         expect, r, fixpoint, truncated = naive_closure(sys, words, 9, 3)
-        res = closure_pc(sys, lang(words, syms), 9, 3)
+        res = closure(sys, lang(words, syms), 9, 3)
         assert res.language.words == expect, sorted(words)
         assert (res.rounds_used, res.reached_fixpoint, res.truncated_by_length) == (
             r, fixpoint, truncated
@@ -437,7 +436,7 @@ def test_contexts_of_several_words_and_lengths():
         words = {rand_word(1, 7) for _ in range(rng.randint(2, 6))}
         max_len = max(map(len, words)) + rng.randint(0, 2)
         max_rounds = rng.randint(1, 3)
-        res = closure_pc(sys, lang(words, syms), max_len, max_rounds)
+        res = closure(sys, lang(words, syms), max_len, max_rounds)
         expect, r, fixpoint, truncated = naive_closure(
             sys, words, max_len, max_rounds, results_by_definition
         )

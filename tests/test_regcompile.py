@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
@@ -114,7 +115,7 @@ def test_encoded_length_relation(astar_b):
 
 
 def test_complexity_report_astar_b(astar_b):
-    rep = complexity_report(compile_regular(astar_b), astar_b)
+    rep = complexity_report(compile_regular(astar_b))
     assert rep.rule_count == 2
     assert rep.template_count == 2
     assert rep.quadratic_bound == 4
@@ -125,7 +126,7 @@ def test_complexity_report_astar_b(astar_b):
 
 def test_no_composable_pairs_means_no_templates():
     g = load_grammar("unreachable.grammar")
-    rep = complexity_report(compile_regular(g), g)
+    rep = complexity_report(compile_regular(g))
     assert rep.template_count == 0
     assert rep.ok
 
@@ -134,7 +135,7 @@ def test_bounds_hold_on_random_grammars():
     rng = random.Random(2024)
     for _ in range(100):
         g = random_regular_grammar(rng)
-        rep = complexity_report(compile_regular(g), g)
+        rep = complexity_report(compile_regular(g))
         assert rep.template_count <= rep.quadratic_bound
         assert rep.alphabet_size == len(g.nonterminals) + len(g.terminals) + 1
 
@@ -142,7 +143,7 @@ def test_bounds_hold_on_random_grammars():
 @pytest.mark.parametrize("name", CORPUS)
 def test_equiv_check_corpus(name):
     g = load_grammar(name)
-    report = equiv_check(compile_regular(g), g, 8, max_len=19, max_rounds=64)
+    report = equiv_check(compile_regular(g), 8, max_len=19, max_rounds=64)
     assert report.verdict == "pass", (name, report.missing, report.extra)
     assert report.exhaustive
 
@@ -155,22 +156,15 @@ def test_equiv_check_flags_mutation(astar_b):
         n1=1,
         n2=1,
     )
-    mutated = type(cr)(
-        system=crippled,
-        base=cr.base,
-        filter=cr.filter,
-        coding=cr.coding,
-        base_provenance=cr.base_provenance,
-        template_provenance=cr.template_provenance,
-    )
-    report = equiv_check(mutated, astar_b, 8, max_len=19, max_rounds=64)
+    mutated = dataclasses.replace(cr, system=crippled)
+    report = equiv_check(mutated, 8, max_len=19, max_rounds=64)
     assert report.verdict == "fail"
     # only the direct L1-style word survives; everything longer goes missing
     assert word("a b") in report.missing and word("b") not in report.missing
 
 
 def test_equiv_check_k0_trivial(astar_b):
-    report = equiv_check(compile_regular(astar_b), astar_b, 0, max_len=3, max_rounds=4)
+    report = equiv_check(compile_regular(astar_b), 0, max_len=3, max_rounds=4)
     assert report.verdict == "pass"
 
 
@@ -180,11 +174,11 @@ def test_equiv_check_rejects_negative_k_before_the_closure(astar_b, monkeypatch)
 
     monkeypatch.setattr(regcompile, "closure", no_closure)
     with pytest.raises(ValueError, match="nonnegative"):
-        equiv_check(compile_regular(astar_b), astar_b, k=-1)
+        equiv_check(compile_regular(astar_b), k=-1)
 
 
 def test_equiv_check_inconclusive_under_small_caps(astar_b):
-    report = equiv_check(compile_regular(astar_b), astar_b, 8, max_len=19, max_rounds=1)
+    report = equiv_check(compile_regular(astar_b), 8, max_len=19, max_rounds=1)
     assert report.verdict == "inconclusive"
 
 

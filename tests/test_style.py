@@ -3,8 +3,12 @@ from __future__ import annotations
 import ast
 import importlib
 import importlib.util
+import inspect
 import sys
 from pathlib import Path
+
+import tgrkit
+from tgrkit import Compiled, compile_kuroda, compile_regular, ctgr, parse_grammar, tgr
 
 SRC = Path(__file__).parent.parent / "src" / "tgrkit"
 BENCH = Path(__file__).parent.parent / "tgrbench"
@@ -72,6 +76,20 @@ def test_dumps_and_tau_separators_stay_with_their_kind():
         tree = ast.parse((SRC / name).read_text(encoding="utf-8"))
         strings = {node.value for node in ast.walk(tree) if isinstance(node, ast.Constant)}
         assert not strings & {"#", "$", "&"}, name
+
+
+def test_public_api_names_each_operation_once():
+    # The _pc names and dump_compiled_re are benchmark seams in recompile and cli, not API.
+    aliases = {"closure_pc", "recombine_pc", "dump_compiled_re", "CompiledRegular", "CompiledRE"}
+    assert not aliases & set(dir(tgrkit))
+    tgr_functions = {id(fn) for fn in vars(tgr).values()
+                     if inspect.isfunction(fn) and fn.__module__ == tgr.__name__}
+    assert not [name for name, obj in vars(ctgr).items() if id(obj) in tgr_functions]
+    data = SRC.parent.parent / "tests" / "data"
+    for compile_, name in ((compile_regular, "astar_b.grammar"), (compile_kuroda, "anbn.kuroda")):
+        grammar = parse_grammar((data / name).read_text(encoding="utf-8"))
+        cr = compile_(grammar)
+        assert type(cr) is Compiled and cr.grammar is grammar
 
 
 def bench_module(monkeypatch, name):
