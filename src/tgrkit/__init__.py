@@ -14,7 +14,6 @@ from .words import (
     parse_language,
     word,
     word_text,
-    words_up_to,
 )
 from .patterns import Atom, Concat, Pattern, Star, Union, matches, parse_pattern, pattern_text
 from .grammars import (

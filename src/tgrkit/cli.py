@@ -16,9 +16,9 @@ from pathlib import Path
 from .dumps import dump_text, load_dump
 from .errors import ResourceLimitError, TgrkitError, TraceError
 from .grammars import Grammar, KurodaGrammar, RegularGrammar, parse_grammar
-from .recompile import compile_kuroda, simulate_derivation, soundness_check, trace_lines
+from .recompile import compile_kuroda, simulate_derivation, soundness_check
 from .regcompile import compile_regular, complexity_report, equiv_check
-from .tgr import closure, derivation_trace
+from .tgr import RecombinationEvent, System, closure, derivation_trace
 # The benchmark attributes closures over contextual dumps by this name.
 from .tgr import closure as closure_pc
 from .words import parse_language, word, word_text
@@ -116,12 +116,16 @@ def cmd_check(args) -> int:
     return VERDICT_EXIT[report.verdict]
 
 
+def _event_line(system: System, ev: RecombinationEvent) -> str:
+    """One trace event as `x | y | word | w`, word being the template's canonical word."""
+    return " | ".join(word_text(v) for v in (ev.x, ev.y, system.word(ev.template), ev.w))
+
+
 def cmd_trace(args) -> int:
     if args.kind == "reg":
         if not args.target:
             raise TgrkitError("trace reg needs --target")
-        g = _load_grammar(args.grammar, RegularGrammar)
-        cr = compile_regular(g)
+        cr = compile_regular(_load_grammar(args.grammar, RegularGrammar))
         trace = derivation_trace(
             cr.system,
             cr.base,
@@ -133,24 +137,20 @@ def cmd_trace(args) -> int:
         if trace is None:
             sys.stderr.write("no trace within caps\n")
             return EXIT_FAIL
-        out = [
-            f"{word_text(ev.x)} | {word_text(ev.y)} | {word_text(ev.template)} | {word_text(ev.w)}"
-            for ev in trace
-        ]
-        _emit(args, "\n".join(out) + ("\n" if out else ""))
-        return EXIT_OK
-
-    if not args.derivation:
-        raise TgrkitError("trace re needs --derivation")
-    g = _load_grammar(args.grammar, KurodaGrammar)
-    cr = compile_kuroda(g)
-    forms = [word(line) for line in _read(args.derivation).splitlines() if line.strip()]
-    try:
-        trace = simulate_derivation(cr, forms)
-    except TraceError as exc:
-        sys.stderr.write(f"{exc}\n")
-        return EXIT_FAIL
-    _emit(args, "\n".join(trace_lines(trace)) + "\n")
+        out = [_event_line(cr.system, ev) for ev in trace]
+    else:
+        if not args.derivation:
+            raise TgrkitError("trace re needs --derivation")
+        cr = compile_kuroda(_load_grammar(args.grammar, KurodaGrammar))
+        lines = _read(args.derivation).splitlines()
+        forms = [word(line) for line in lines if line.strip() and not line.startswith("# ")]
+        try:
+            trace = simulate_derivation(cr, forms)
+        except TraceError as exc:
+            sys.stderr.write(f"{exc}\n")
+            return EXIT_FAIL
+        out = [f"{te.phase} | {_event_line(cr.system, te.event)}" for te in trace.events]
+    _emit(args, "\n".join(out) + ("\n" if out else ""))
     return EXIT_OK
 
 
@@ -225,8 +225,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("trace", help="explain how a word / derivation is produced")
     p.add_argument("kind", choices=("reg", "re"))
     p.add_argument("grammar")
-    p.add_argument("--target", help="target word (reg)")
-    p.add_argument("--derivation", help="derivation file, one sentential form per line (re)")
+    wanted = p.add_mutually_exclusive_group()
+    wanted.add_argument("--target", help="target word (reg)")
+    wanted.add_argument("--derivation", help="derivation file, one sentential form per line (re)")
     _add_caps(p, with_k=False)
     _add_common(p)
     p.set_defaults(func=cmd_trace)

@@ -190,10 +190,6 @@ class MembershipVerdict:
     verdict: Verdict
     witness: tuple[Word, ...] | None = None
 
-    @property
-    def is_member(self) -> bool:
-        return self.verdict is Verdict.MEMBER
-
 
 def _rewrites(g: Grammar, form: Word) -> Iterator[tuple[Rule, int, Word]]:
     """Every single rule application to `form` as (rule, position, result).

@@ -28,7 +28,7 @@ from typing import Iterator
 from .ctgr import CTGRSystem, PCTemplate, tau
 from .dumps import Compiled
 from .errors import FormatError, TraceError
-from .grammars import KurodaGrammar, Rule, SearchCaps, Verdict, derivation_steps, membership
+from .grammars import KurodaGrammar, Rule, Verdict, derivation_steps, membership
 from .patterns import matches, seq, star, symbol_class
 from .tgr import RecombinationEvent
 from .words import FiniteLanguage, WeakCoding, Word, sort_words, word_text
@@ -54,8 +54,6 @@ NEEDS_Y = frozenset({(Y,)})
 
 # A derivation file is user input: its replay stops after this many events.
 MAX_TRACE_EVENTS = 10_000
-# The membership oracle's caps for every word soundness_check tests.
-ORACLE_CAPS = SearchCaps()
 
 
 def rotating_marker(b: str) -> str:
@@ -180,18 +178,8 @@ class TraceEvent:
 
 @dataclass(frozen=True)
 class SimulationTrace:
-    derivation: tuple[Word, ...]
     events: tuple[TraceEvent, ...]
     final_word: Word
-
-
-def trace_lines(trace: SimulationTrace) -> list[str]:
-    """One line per event: `phase | x | y | tau | w`."""
-    return [
-        f"{te.phase} | {word_text(te.event.x)} | {word_text(te.event.y)}"
-        f" | {word_text(tau(te.event.template))} | {word_text(te.event.w)}"
-        for te in trace.events
-    ]
 
 
 def _fire(cr: Compiled, phase: str, tp: PCTemplate, form: Word, expected: Word) -> TraceEvent:
@@ -266,18 +254,12 @@ def simulate_derivation(
             raise TraceError(f"trace exceeded the event budget of {MAX_TRACE_EVENTS}")
 
     def rotate_to(target_content: Word) -> None:
+        # derivation_steps has checked every step, so the content and each
+        # target are rotations of BLOCK plus the current form: some d matches.
         nonlocal current
         content = current[1:-1]
         m = len(content)
-        if m != len(target_content):
-            raise TraceError("rotation target has a different length")
-        for d in range(m):
-            if content[m - d :] + content[: m - d] == target_content:
-                break
-        else:
-            raise TraceError(
-                f"{word_text(target_content)!r} is not a rotation of {word_text(content)!r}"
-            )
+        d = next(i for i in range(m) if content[m - i :] + content[: m - i] == target_content)
         for _ in range(d):
             cycle, current = rotate_cycle(cr, current)
             events.extend(cycle)
@@ -303,7 +285,7 @@ def simulate_derivation(
     c3 = terminal_word[2] if len(terminal_word) >= 3 else Y
     final = terminal_word + (Y,)
     events.append(_fire(cr, "terminate", terminate_template(t1, t2, c3), current, final))
-    return SimulationTrace(derivation=derivation, events=tuple(events), final_word=final)
+    return SimulationTrace(events=tuple(events), final_word=final)
 
 
 def pipeline_language_pc(
@@ -334,7 +316,6 @@ class SoundnessReport:
     produced: tuple[Word, ...]
     non_members: tuple[Word, ...]
     unknowns: tuple[Word, ...]
-    fixpoint_reached: bool
 
     @property
     def verdict(self) -> str:
@@ -354,11 +335,11 @@ def soundness_check(
 
     Non-members expose a construction bug; unknowns are oracle cap limits.
     """
-    produced, fixpoint = pipeline_language_pc(cr, k, max_len, max_rounds, max_set_size)
+    produced, _ = pipeline_language_pc(cr, k, max_len, max_rounds, max_set_size)
     non_members = []
     unknowns = []
     for w in produced:
-        verdict = membership(cr.grammar, w, ORACLE_CAPS)
+        verdict = membership(cr.grammar, w)
         if verdict.verdict is Verdict.NON_MEMBER:
             non_members.append(w)
         elif verdict.verdict is Verdict.UNKNOWN:
@@ -367,6 +348,5 @@ def soundness_check(
         produced=tuple(produced),
         non_members=tuple(sort_words(non_members)),
         unknowns=tuple(sort_words(unknowns)),
-        fixpoint_reached=fixpoint,
     )
 

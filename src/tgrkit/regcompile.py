@@ -132,16 +132,9 @@ class ComplexityReport:
     expected_alphabet_size: int
 
     @property
-    def template_bound_holds(self) -> bool:
-        return self.template_count <= self.quadratic_bound
-
-    @property
-    def alphabet_size_matches(self) -> bool:
-        return self.alphabet_size == self.expected_alphabet_size
-
-    @property
     def ok(self) -> bool:
-        return self.template_bound_holds and self.alphabet_size_matches
+        return (self.template_count <= self.quadratic_bound
+                and self.alphabet_size == self.expected_alphabet_size)
 
 
 def complexity_report(cr: Compiled) -> ComplexityReport:
@@ -164,7 +157,6 @@ def complexity_report(cr: Compiled) -> ComplexityReport:
 
 @dataclass(frozen=True)
 class EquivReport:
-    k: int
     missing: tuple[Word, ...]
     extra: tuple[Word, ...]
     exhaustive: bool
@@ -195,7 +187,6 @@ def equiv_check(
     got, exhaustive = pipeline_language(cr, k, max_len, max_rounds, max_set_size)
     want, _ = enumerate_language(cr.grammar, k)
     return EquivReport(
-        k=k,
         missing=tuple(sort_words(want.words - got.words)),
         extra=tuple(sort_words(got.words - want.words)),
         exhaustive=exhaustive,

@@ -238,7 +238,7 @@ class _Engine:
         self.hits = ({}, {}) if keep_hits else None
         self.pairs: list[Pair] | None = None  # with keep_hits, the last run's kept pairs
 
-    def add_words(self, new: list[Word]) -> Deltas:
+    def add_words(self, new: Iterable[Word]) -> Deltas:
         """Index new words; returns the new parts of each class they touch, per side."""
         deltas: Deltas = ({}, {})
         index, sizes, parts, hits = self.index, self.sizes, self.parts, self.hits
@@ -304,7 +304,7 @@ class _Engine:
 def step(sys: System, language: FiniteLanguage) -> FiniteLanguage:
     """One application of the recombination operator: all results over L x L x T."""
     engine = _Engine(sys)
-    produced, _ = engine.run(engine.add_words(sort_words(language.words)), None)
+    produced, _ = engine.run(engine.add_words(language.words), None)
     return FiniteLanguage(frozenset(produced), sys.alphabet)
 
 
@@ -341,9 +341,11 @@ def _rounds(
 ) -> Iterator[tuple[int, set[Word], bool]]:
     """The closure's rounds: grows `words` in place, yields (round, new words, truncated).
 
-    Fresh words are indexed in shortlex order; the first round adding none is the last.
+    Fresh words are indexed in set order, since no result depends on it: the
+    closure is a set, each part keeps its least source first, and a trace
+    keeps each word's least event.  The first round adding none is the last.
     """
-    fresh = sort_words(words)
+    fresh = words
     for r in range(1, max_rounds + 1):
         produced, truncated = engine.run(engine.add_words(fresh), max_len)
         new = produced - words
@@ -354,7 +356,7 @@ def _rounds(
         yield r, new, truncated
         if not new:
             return
-        fresh = sort_words(new)
+        fresh = new
 
 
 def closure(

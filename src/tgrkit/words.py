@@ -8,11 +8,10 @@ all operations are pure, so everything is safe to share between callers.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
-from .errors import CodingDomainError, FormatError, ResourceLimitError
+from .errors import CodingDomainError, FormatError
 
 Word = tuple[str, ...]
 Alphabet = frozenset[str]
@@ -55,8 +54,6 @@ def sort_words(words: Iterable[Word]) -> list[Word]:
 def occurrences(needle: Word, hay: Word) -> list[int]:
     """All start offsets of `needle` in `hay`, overlapping occurrences included."""
     n = len(needle)
-    if n == 0:
-        return list(range(len(hay) + 1))
     return [i for i in range(len(hay) - n + 1) if hay[i : i + n] == needle]
 
 
@@ -142,30 +139,3 @@ class WeakCoding:
             if image is not None:
                 out.append(image)
         return tuple(out)
-
-
-def words_up_to(alphabet: Alphabet, k: int, max_words: int = 200_000) -> FiniteLanguage:
-    """All words over `alphabet` of length at most k, including the empty word.
-
-    Refuses to enumerate when the result would exceed `max_words`, reporting
-    the required budget.
-    """
-    if k < 0:
-        raise ValueError(f"length bound must be nonnegative, got {k}")
-    m = len(alphabet)
-    if m == 0:
-        total = 1
-    elif m == 1:
-        total = k + 1
-    else:
-        total = (m ** (k + 1) - 1) // (m - 1)
-    if total > max_words:
-        raise ResourceLimitError(
-            f"enumerating words up to length {k} over {m} symbols needs {total} words, "
-            f"cap is {max_words}"
-        )
-    syms = sorted(alphabet)
-    words: list[Word] = []
-    for n in range(k + 1):
-        words.extend(itertools.product(syms, repeat=n))
-    return FiniteLanguage(frozenset(words), alphabet)

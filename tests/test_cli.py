@@ -1,6 +1,9 @@
 from __future__ import annotations
 
 import hashlib
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -8,6 +11,8 @@ import pytest
 
 from tgrkit import cli
 from tgrkit.cli import main
+from tgrkit.grammars import parse_grammar
+from tgrkit.recompile import compile_kuroda, simulate_derivation
 from tgrkit.regcompile import compile_regular
 from tgrkit.tgr import TGRSystem
 from tgrkit.words import FiniteLanguage, word
@@ -149,6 +154,7 @@ def test_trace_reg_single_event(capsys):
     )
     assert code == 0
     assert out.strip() == "S a S | S b # | a S b | S a S b #"
+    assert out.count("|") == 3  # x | y | word | w
 
 
 def test_trace_reg_unreachable(capsys):
@@ -169,6 +175,28 @@ def test_trace_re_derivation(capsys):
     lines = out.strip().splitlines()
     assert lines[-1].endswith("| a a b b Y")
     assert lines[0].startswith("simulate |")
+    # phase | x | y | word | w, one line per event
+    cr = compile_kuroda(parse_grammar((DATA / "anbn.kuroda").read_text()))
+    forms = [word(line) for line in (DATA / "aabb_deriv.txt").read_text().splitlines()]
+    assert len(lines) == len(simulate_derivation(cr, forms).events)
+    assert all(line.count("|") == 4 for line in lines)
+
+
+def test_trace_re_derivation_skips_comment_lines(capsys, tmp_path):
+    deriv = tmp_path / "deriv"
+    deriv.write_text("# S => A C => a C => a b\n" + (DATA / "ab_deriv.txt").read_text())
+    plain = run(capsys, "trace", "re", DATA / "anbn.kuroda", "--derivation", DATA / "ab_deriv.txt")
+    commented = run(capsys, "trace", "re", DATA / "anbn.kuroda", "--derivation", deriv)
+    assert commented == plain
+    assert plain[0] == 0
+
+
+@pytest.mark.parametrize("kind, grammar", [("reg", "astar_b.grammar"), ("re", "anbn.kuroda")])
+def test_trace_target_and_derivation_exclude_each_other(capsys, kind, grammar):
+    with pytest.raises(SystemExit) as exc:
+        main(["trace", kind, str(DATA / grammar), "--target", "S a S b #",
+              "--derivation", str(DATA / "ab_deriv.txt")])
+    assert exc.value.code == 2
 
 
 # SHA-256 of the output of `compile re` and `trace re`: the Kuroda construction
@@ -222,6 +250,35 @@ def test_engine_output_digest_is_pinned(capsys, tmp_path, argv, digest):
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+# Closures index fresh words in set order, which moves with the string hash
+# seed; the output must not.
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (("closure", "DUMP", "--max-len", 14, "--max-rounds", 28, "--format", "lines"),
+         "7533eb23cc5b854078a33a5bcedbec287618af4baf16a3ed1877b00ade693c9c"),
+        (("trace", "reg", DATA / "ends_ab.grammar",
+          "--target", "S a S b S a S b S a S a S b S a A b #"),
+         "1c751ec5ce43086c08e9ea03d9950267d723879fcacf45159725ba3f684ccfaf"),
+    ],
+)
+def test_output_does_not_depend_on_hash_seed(capsys, tmp_path, argv, digest):
+    if argv[1] == "DUMP":
+        dump = tmp_path / "d"
+        run(capsys, "compile", "re", DATA / "anbn.kuroda", "--out", dump)
+        argv = (argv[0], dump, *argv[2:])
+    argv = [str(a) for a in argv]
+    src = str(Path(__file__).parent.parent / "src")
+    outs = []
+    for seed in ("0", "1"):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+        proc = subprocess.run([sys.executable, "-m", "tgrkit", *argv], env=env,
+                              capture_output=True, text=True, check=True)
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
+    assert hashlib.sha256(outs[0].encode("utf-8")).hexdigest() == digest
 
 
 def broken_regular(g):

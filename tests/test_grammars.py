@@ -140,7 +140,7 @@ def test_regular_enumeration_matches_automaton_simulation(name):
                 accepts = grammar_nfa_accepts(g, w)
                 assert (w in lang.words) == accepts, (name, g, w)
                 verdict = membership(g, w)
-                assert verdict.is_member == accepts, (name, g, w)
+                assert (verdict.verdict is Verdict.MEMBER) == accepts, (name, g, w)
                 if accepts:  # the witness replays from the start symbol to w
                     forms = verdict.witness
                     assert forms[0] == (g.start,) and forms[-1] == w
@@ -196,17 +196,17 @@ def test_kuroda_search_drops_forms_with_too_many_terminals():
     lang, exhaustive = enumerate_language(g, 1, caps)
     assert exhaustive and not lang.words
     assert membership(g, word("a"), caps).verdict is Verdict.NON_MEMBER
-    assert membership(g, word("a a a")).is_member
+    assert membership(g, word("a a a")).verdict is Verdict.MEMBER
 
 
 def test_membership_consistent_with_enumeration(anbn):
     lang, exhaustive = enumerate_language(anbn, 4)
     assert exhaustive
     for w in lang:
-        assert membership(anbn, w).is_member
+        assert membership(anbn, w).verdict is Verdict.MEMBER
     # and the forward direction: member verdicts land inside exhaustive enumerations
     for w in itertools.product(sorted(anbn.terminals), repeat=4):
-        if membership(anbn, tuple(w)).is_member:
+        if membership(anbn, tuple(w)).verdict is Verdict.MEMBER:
             assert tuple(w) in lang.words
 
 

@@ -43,7 +43,6 @@ from tgrkit.recompile import (
     rotate_cycle,
     rotating_marker,
     start_word,
-    trace_lines,
 )
 from tgrkit.tgr import step_events
 
@@ -177,9 +176,6 @@ def test_trace_aabb(cr):
     trace = simulate_derivation(cr, AABB_DERIVATION)
     assert trace.final_word == word("a a b b Y")
     assert cr.coding.apply(trace.final_word) == word("a a b b")
-    lines = trace_lines(trace)
-    assert len(lines) == len(trace.events)
-    assert all(line.count("|") == 4 for line in lines)
 
 
 def test_trace_chains_through_base_words(cr):

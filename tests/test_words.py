@@ -9,14 +9,12 @@ from tgrkit import (
     CodingDomainError,
     FiniteLanguage,
     FormatError,
-    ResourceLimitError,
     WeakCoding,
     parse_language,
     word,
     word_text,
-    words_up_to,
 )
-from tgrkit.words import make_alphabet, sort_words
+from tgrkit.words import make_alphabet
 
 
 def test_word_round_trip():
@@ -69,25 +67,6 @@ def test_apply_coding_is_homomorphic(u, v):
     h = WeakCoding({"a": "x", "b": None})
     u, v = tuple(u), tuple(v)
     assert h.apply(u + v) == h.apply(u) + h.apply(v)
-
-
-def test_words_up_to_counts():
-    assert len(words_up_to(make_alphabet("a"), 2)) == 3
-    assert sort_words(words_up_to(make_alphabet("ab"), 1).words) == [(), ("a",), ("b",)]
-    # geometric sum 1 + 2 + 4 + 8
-    assert len(words_up_to(make_alphabet("ab"), 3)) == 15
-
-
-@given(st.integers(min_value=0, max_value=5), st.integers(min_value=1, max_value=3))
-def test_words_up_to_size_formula(k, m):
-    alphabet = make_alphabet([f"s{i}" for i in range(m)])
-    assert len(words_up_to(alphabet, k)) == sum(m**i for i in range(k + 1))
-
-
-def test_words_up_to_resource_guard_reports_budget():
-    with pytest.raises(ResourceLimitError) as exc:
-        words_up_to(make_alphabet("abc"), 12, max_words=1000)
-    assert "797161" in str(exc.value)
 
 
 def test_finite_language_checks_alphabet():
