@@ -22,9 +22,10 @@ from .words import Word, shortlex_key, word_text
 HASH = "#"
 DOLLAR = "$"
 AMP = "&"
+_set = object.__setattr__  # bound once; writing __dict__ instead would slow every field read
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class PCTemplate:
     e1: Word
     body: Word
@@ -32,13 +33,13 @@ class PCTemplate:
     c1: frozenset[Word]
     c2: frozenset[Word]
 
-    def __post_init__(self):
-        # Empty context words are vacuous; dropping them makes {} and {@} one value.
-        # A frozenset that needs no dropping is kept, so templates share their sets.
-        for name in ("c1", "c2"):
-            c = getattr(self, name)
-            if not isinstance(c, frozenset) or () in c:
-                object.__setattr__(self, name, frozenset(w for w in c if w))
+    def __init__(self, e1: Word, body: Word, d1: Word, c1: frozenset[Word], c2: frozenset[Word]):
+        # Empty context words are vacuous: {} and {@} are one value.  Other frozensets stay shared.
+        _set(self, "e1", e1)
+        _set(self, "body", body)
+        _set(self, "d1", d1)
+        _set(self, "c1", c1 if type(c1) is frozenset and () not in c1 else frozenset(c1) - {()})
+        _set(self, "c2", c2 if type(c2) is frozenset and () not in c2 else frozenset(c2) - {()})
 
 
 def tau(tp: PCTemplate) -> Word:

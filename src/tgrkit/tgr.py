@@ -9,11 +9,14 @@ computable stand-in for the generally infinite full closure.  A plain
 template is a contextual one (see ctgr) with empty deletion and permitting
 contexts, so everything here serves both system kinds through their
 `parts`.
+
+The engine works on packed words, which slice and hash faster than tuples: symbol i
+of the sorted alphabet becomes chr(i), for any alphabet size, so packed words keep
+their tuples' lengths and order, and every order a result depends on stays.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import warnings
 from collections import defaultdict
@@ -36,16 +39,27 @@ if TYPE_CHECKING:
     from .ctgr import PCTemplate
 
 Parts: TypeAlias = tuple[Word, Word, Word, frozenset[Word], frozenset[Word]]
-# (template, alpha, beta, gamma, e1): one split of a template's body
-Split: TypeAlias = "tuple[Word | PCTemplate, Word, Word, Word, Word]"
+Packed: TypeAlias = str  # a word, one character per symbol
+# (template, alpha, beta, gamma, e1): one split of a template's packed body
+Split: TypeAlias = "tuple[Word | PCTemplate, Packed, Packed, Packed, Packed]"
 # class id -> part length -> parts, per side: (x-class prefixes, y-class suffixes)
-ByLength: TypeAlias = dict[int, dict[int, list[Word]]]
+ByLength: TypeAlias = dict[int, dict[int, list[Packed]]]
 Deltas: TypeAlias = tuple[ByLength, ByLength]
-Pair: TypeAlias = tuple[int, Word, Word]  # (split id, prefix, suffix)
+Pair: TypeAlias = tuple[int, Packed, Packed]  # (split id, prefix, suffix)
 
 
 class InertTemplateWarning(UserWarning):
     """A template too short to split under the system's minima; it can never fire."""
+
+
+class _Memo(dict):
+    """x -> f(x), with f called once per distinct x."""
+
+    def __init__(self, f):
+        self.f = f
+
+    def __missing__(self, x):
+        return self.setdefault(x, self.f(x))
 
 
 @dataclass(frozen=True)
@@ -55,6 +69,7 @@ class System:
     A kind gives, as class attributes and not fields, its `kind` name and the
     symbols `reserved` by its template words, and for each template its
     canonical `word` and its `parts`.  Templates with equal words are one.
+    `packed` holds each template's parts, packed (`pack`, `unpack`), in template order.
     """
 
     templates: Iterable
@@ -74,17 +89,20 @@ class System:
         order = sorted(sorted(by_word), key=len)
         object.__setattr__(self, "templates", tuple(by_word[w] for w in order))
         least = 2 * self.n1 + self.n2
-        used: set[str] = set()
-        inert = []  # bodies too short to split
-        for t in self.templates:
-            e1, body, d1, c1, c2 = self.parts(t)
-            used.update(e1, body, d1, *c1, *c2)
-            if len(body) < least:
-                inert.append(body)
-        if not used <= self.alphabet:  # name the first bad symbol, in template order
-            bad = next(s for e1, body, d1, c1, c2 in map(self.parts, self.templates)
-                       for s in itertools.chain(e1, body, d1, *c1, *c2) if s not in self.alphabet)
-            raise ValueError(f"template symbol {bad!r} is outside the system alphabet")
+        object.__setattr__(self, "_chars", {s: chr(i) for i, s in enumerate(sorted(self.alphabet))})
+        object.__setattr__(self, "_symbols", {c: s for s, c in self._chars.items()})
+        words = _Memo(self.pack)  # templates share contexts and sets; each is packed once
+        sets = _Memo(lambda c: frozenset(map(words.__getitem__, c)))
+        packed, inert = [], []  # inert: bodies too short to split
+        try:  # in template order, so the first symbol outside the alphabet is named
+            for t in self.templates:
+                e1, body, d1, c1, c2 = self.parts(t)
+                packed.append((words[e1], self.pack(body), words[d1], sets[c1], sets[c2]))
+                if len(body) < least:
+                    inert.append(body)
+        except ValueError as e:
+            raise ValueError(f"template {e}") from None
+        object.__setattr__(self, "packed", tuple(packed))
         if inert:
             warnings.warn(
                 f"{len(inert)} template(s) have bodies shorter than 2*n1+n2={least} "
@@ -92,6 +110,16 @@ class System:
                 InertTemplateWarning,
                 stacklevel=3,  # the constructor's caller
             )
+
+    def pack(self, w: Word) -> Packed:
+        chars = self._chars
+        try:
+            return "".join([chars[s] for s in w])
+        except KeyError as e:
+            raise ValueError(f"symbol {e.args[0]!r} is outside the system alphabet") from None
+
+    def unpack(self, w: Packed) -> Word:
+        return tuple(map(self._symbols.__getitem__, w))
 
     def word(self, t) -> Word:
         """t's canonical word: equal words are equal templates, and dumps write it."""
@@ -166,6 +194,11 @@ def _event(sp: Split, x: Word, ox: int, y: Word, oy: int) -> RecombinationEvent:
     return RecombinationEvent(x, y, t, alpha, beta, gamma, ox, oy, w)
 
 
+def _unpacked(sys: System, ev: RecombinationEvent) -> RecombinationEvent:
+    x, y, alpha, beta, gamma, w = map(sys.unpack, (ev.x, ev.y, ev.alpha, ev.beta, ev.gamma, ev.w))
+    return RecombinationEvent(x, y, ev.template, alpha, beta, gamma, ev.pos_x, ev.pos_y, w)
+
+
 def recombine(sys: System, x: Word, y: Word, t: Word | PCTemplate) -> frozenset[RecombinationEvent]:
     """All recombination events of x with y guided by template t.
 
@@ -190,24 +223,27 @@ def recombine(sys: System, x: Word, y: Word, t: Word | PCTemplate) -> frozenset[
 
 
 class _Engine:
-    """Per-part-class prefix and suffix sets over a growing word set.
+    """Per-part-class prefix and suffix sets over a growing set of packed words.
 
-    A result is x[:ox+|alpha beta|] + gamma + y[oy+|y-needle|:] and
-    permitting contexts test whole words, so per split one step pairs the
-    distinct prefixes of words meeting c1 with the distinct suffixes of
-    words meeting c2: work follows the output, not |L| squared.  A split's
-    prefixes depend only on its x-class (x-needle, |alpha beta|, c1) and its
-    suffixes only on its y-class (y-needle, |y-needle|, c2); all splits of a
-    class share its one set, so a new word's part is sliced, checked and
-    recorded once per class it hits.  Parts, and each round's new ones, are
-    also kept by length, so a prefix meets only the suffixes that fit in
-    max_len beside it, and work follows the results kept.  Each new word is
-    scanned once, over its factors whose lengths are needle lengths.  Its
-    permitting contexts are tested against one factor set per word, its
-    factors of the plan's context-word lengths, built when it first hits a
-    class with contexts: the class's contexts hold iff they are a subset.
-    With `keep_hits` each (class, part) keeps its (word, offset) sources,
-    the first-indexed source of its shortlex-least word first.
+    Words, parts, needles and contexts are packed (see the module docstring);
+    the plan keeps each split's original template.  A result is
+    x[:ox+|alpha beta|] + gamma + y[oy+|y-needle|:] and permitting contexts
+    test whole words, so per split one step pairs the distinct prefixes of
+    words meeting c1 with the distinct suffixes of words meeting c2: work
+    follows the output, not |L| squared.  A split's prefixes depend only on
+    its x-class (x-needle, |alpha beta|, c1) and its suffixes only on its
+    y-class (y-needle, |y-needle|, c2); all splits of a class share its
+    parts, the keys of a dict in its index entry (an empty dict is smaller
+    than an empty set), so a new word's part is sliced, checked and recorded
+    once per class it hits.  Parts, and each round's new ones, are also kept
+    by length, so a prefix meets only the suffixes that fit in max_len beside
+    it, and work follows the results kept.  Each new word is scanned once,
+    over its factors whose lengths are needle lengths.  Its permitting
+    contexts are tested against one factor set per word, its factors of the
+    plan's context-word lengths, built when it first hits a class with
+    contexts: the class's contexts hold iff they are a subset.  With
+    `keep_hits` each (class, part) keeps its (word, offset) sources, the
+    first-indexed source of its shortlex-least word first.
     """
 
     def __init__(self, sys: System, keep_hits: bool = False):
@@ -215,33 +251,31 @@ class _Engine:
         self.classes: list[list[int]] = [[], []]  # per side, split id -> its class id
         xids: dict[tuple, int] = {}  # x-class (x-needle, |alpha beta|, c1) -> class id
         yids: dict[tuple, int] = {}  # y-class (y-needle, |y-needle|, c2) -> class id
-        for t in sys.templates:
-            e1, body, d1, c1, c2 = sys.parts(t)
+        for t, (e1, body, d1, c1, c2) in zip(sys.templates, sys.packed):
             for alpha, beta, gamma in splits(body, sys.n1, sys.n2):
                 self.plan.append((t, alpha, beta, gamma, e1))
                 ab, yneedle = alpha + beta, e1 + beta + gamma
                 self.classes[0].append(xids.setdefault((ab + d1, len(ab), c1), len(xids)))
                 self.classes[1].append(yids.setdefault((yneedle, len(yneedle), c2), len(yids)))
-        self.index: dict[Word, list[tuple]] = {}  # needle -> (side, class id, cut, contexts)
+        self.index: dict[Packed, list[tuple]] = {}  # needle -> (side, class, cut, contexts, parts)
         self.users: list[list[list[int]]] = []  # per side, class id -> its split ids
         for side, ids in enumerate((xids, yids)):
             users: list[list[int]] = [[] for _ in ids]
             for i, c in enumerate(self.classes[side]):
                 users[c].append(i)
             for (needle, cut, contexts), c in ids.items():
-                self.index.setdefault(needle, []).append((side, c, cut, contexts))
+                self.index.setdefault(needle, []).append((side, c, cut, contexts, {}))
             self.users.append(users)
         self.sizes = tuple(sorted({len(f) for f in self.index}))
-        self.context_sizes = {len(c) for es in self.index.values() for *_, cs in es for c in cs}
-        self.parts: tuple[dict[int, set[Word]], ...] = (defaultdict(set), defaultdict(set))
+        self.context_sizes = {len(c) for es in self.index.values() for e in es for c in e[3]}
         self.by_length: Deltas = (defaultdict(dict), defaultdict(dict))  # the parts, by length
         self.hits = ({}, {}) if keep_hits else None
         self.pairs: list[Pair] | None = None  # with keep_hits, the last run's kept pairs
 
-    def add_words(self, new: Iterable[Word]) -> Deltas:
+    def add_words(self, new: Iterable[Packed]) -> Deltas:
         """Index new words; returns the new parts of each class they touch, per side."""
         deltas: Deltas = ({}, {})
-        index, sizes, parts, hits = self.index, self.sizes, self.parts, self.hits
+        index, sizes, hits = self.index, self.sizes, self.hits
         for w in new:
             factors = None  # w's factors of context lengths, built on first need
             n = len(w)
@@ -249,16 +283,15 @@ class _Engine:
                 for size in sizes:
                     if a + size > n:
                         break
-                    for side, c, cut, contexts in index.get(w[a : a + size], ()):
+                    for side, c, cut, contexts, known in index.get(w[a : a + size], ()):
                         if contexts:
                             if factors is None:
                                 factors = _factors(w, self.context_sizes)
                             if not contexts <= factors:
                                 continue
                         part = w[a + cut :] if side else w[: a + cut]
-                        known = parts[side][c]
                         if part not in known:
-                            known.add(part)
+                            known[part] = None
                             deltas[side].setdefault(c, {}).setdefault(len(part), []).append(part)
                         if hits is not None:  # the shortlex-least source stays first
                             sources = hits[side].setdefault((c, part), [])
@@ -267,13 +300,13 @@ class _Engine:
                                 sources[0], sources[-1] = sources[-1], sources[0]
         return deltas
 
-    def run(self, deltas: Deltas, max_len: int | None) -> tuple[set[Word], bool]:
+    def run(self, deltas: Deltas, max_len: int | None) -> tuple[set[Packed], bool]:
         """New prefixes x all suffixes plus old prefixes x new suffixes, per split.
 
         Results longer than max_len are dropped and reported by the flag; with
         keep_hits, `pairs` lists the (split id, prefix, suffix) of every kept one.
         """
-        produced: set[Word] = set()
+        produced: set[Packed] = set()
         truncated = False
         limit = math.inf if max_len is None else max_len
         prefixes, suffixes = self.by_length
@@ -304,16 +337,16 @@ class _Engine:
 def step(sys: System, language: FiniteLanguage) -> FiniteLanguage:
     """One application of the recombination operator: all results over L x L x T."""
     engine = _Engine(sys)
-    produced, _ = engine.run(engine.add_words(language.words), None)
-    return FiniteLanguage(frozenset(produced), sys.alphabet)
+    produced, _ = engine.run(engine.add_words(map(sys.pack, language.words)), None)
+    return FiniteLanguage(frozenset(map(sys.unpack, produced)), sys.alphabet)
 
 
 def step_events(sys: System, language: FiniteLanguage) -> list[RecombinationEvent]:
     """Like step but returns the full event list (for audits and tests)."""
     engine = _Engine(sys, keep_hits=True)
-    engine.run(engine.add_words(sort_words(language.words)), None)
+    engine.run(engine.add_words(sort_words(map(sys.pack, language.words))), None)
     xs, ys = engine.hits
-    return [_event(engine.plan[i], x, ox, y, oy) for i, p, s in engine.pairs
+    return [_unpacked(sys, _event(engine.plan[i], x, ox, y, oy)) for i, p, s in engine.pairs
             for x, ox in xs[engine.classes[0][i], p] for y, oy in ys[engine.classes[1][i], s]]
 
 
@@ -337,9 +370,9 @@ def _check_caps(initial: FiniteLanguage, max_len: int, max_rounds: int, max_set_
 
 
 def _rounds(
-    engine: _Engine, words: set[Word], max_len: int, max_rounds: int, max_set_size: int
-) -> Iterator[tuple[int, set[Word], bool]]:
-    """The closure's rounds: grows `words` in place, yields (round, new words, truncated).
+    engine: _Engine, words: set[Packed], max_len: int, max_rounds: int, max_set_size: int
+) -> Iterator[tuple[int, set[Packed], bool]]:
+    """The closure's rounds: grows packed `words` in place, yields (round, new words, truncated).
 
     Fresh words are indexed in set order, since no result depends on it: the
     closure is a set, each part keeps its least source first, and a trace
@@ -373,16 +406,12 @@ def closure(
     the approximation may be incomplete beyond that length.
     """
     _check_caps(initial, max_len, max_rounds, max_set_size)
-    words = set(initial.words)
+    words = set(map(sys.pack, initial.words))
     r, fixpoint, truncated = 0, False, False
     for r, new, trunc in _rounds(_Engine(sys), words, max_len, max_rounds, max_set_size):
         fixpoint, truncated = not new, truncated or trunc
-    return ClosureResult(
-        language=FiniteLanguage(frozenset(words), sys.alphabet),
-        rounds_used=r,
-        reached_fixpoint=fixpoint,
-        truncated_by_length=truncated,
-    )
+    language = FiniteLanguage(frozenset(map(sys.unpack, words)), sys.alphabet)
+    return ClosureResult(language, r, fixpoint, truncated)
 
 
 def derivation_trace(
@@ -414,15 +443,15 @@ def derivation_trace(
         return None
     rank = {t: i for i, t in enumerate(sys.templates)}
 
-    def key(ev: RecombinationEvent):
+    def key(ev: RecombinationEvent):  # packed words order as their tuples do
         return (shortlex_key(ev.x), shortlex_key(ev.y), rank[ev.template],
                 ev.pos_x, ev.pos_y, len(ev.beta), len(ev.alpha))
 
     engine = _Engine(sys, keep_hits=True)
-    found: dict[Word, tuple[int, RecombinationEvent]] = {}  # word -> (round, event)
-    words = set(initial.words)
+    found: dict[Packed, tuple[int, RecombinationEvent]] = {}  # word -> (round, event)
+    words, target = set(map(sys.pack, initial.words)), sys.pack(target)
     for r, new, _ in _rounds(engine, words, max_len, max_rounds, max_set_size):
-        best: dict[Word, RecombinationEvent] = {}
+        best: dict[Packed, RecombinationEvent] = {}
         for i, p, s in engine.pairs:
             w = p + engine.plan[i][3] + s
             if w in new:
@@ -436,12 +465,12 @@ def derivation_trace(
     if target not in words:
         return None
 
-    needed: dict[Word, RecombinationEvent] = {}
+    needed: dict[Packed, RecombinationEvent] = {}
     stack = [target]
     while stack:
         w = stack.pop()
-        if w in initial.words or w in needed:
+        if w not in found or w in needed:  # every word not found is an initial one
             continue
         ev = needed[w] = found[w][1]
         stack.extend((ev.x, ev.y))
-    return tuple(sorted(needed.values(), key=lambda e: (found[e.w][0], e.w)))
+    return tuple(_unpacked(sys, needed[w]) for w in sorted(needed, key=lambda w: (found[w][0], w)))

@@ -376,12 +376,13 @@ def test_part_classes_keep_cuts_and_contexts_apart():
     )
     index = _Engine(sys).index
     xkeys = {(needle, cut, c1) for needle, entries in index.items()
-             for side, _, cut, c1 in entries if side == 0}
-    assert len({c1 for needle, cut, c1 in xkeys if (needle, cut) == (word("a b"), 2)}) == 3
-    assert {cut for needle, cut, _ in xkeys if needle == word("a b c")} == {2, 3}
+             for side, _, cut, c1, _ in entries if side == 0}
+    packed = sys.pack  # the engine's needles are packed words
+    assert len({c1 for needle, cut, c1 in xkeys if (needle, cut) == (packed(word("a b")), 2)}) == 3
+    assert {cut for needle, cut, _ in xkeys if needle == packed(word("a b c"))} == {2, 3}
     ykeys = {(needle, c2) for needle, entries in index.items()
-             for side, _, _, c2 in entries if side == 1}
-    assert len({c2 for needle, c2 in ykeys if needle == word("b a")}) == 2
+             for side, _, _, c2, _ in entries if side == 1}
+    assert len({c2 for needle, c2 in ykeys if needle == packed(word("b a"))}) == 2
     rng = random.Random(1717)
     for _ in range(30):
         words = {tuple(rng.choices(syms, k=rng.randint(2, 6))) for _ in range(rng.randint(2, 6))}

@@ -316,9 +316,20 @@ def naive_closure(templates, words, max_len, max_rounds, n1=1, n2=1):
     return words, r, fixpoint, truncated
 
 
-def test_closure_agrees_with_naive_oracle():
+# Words use an alphabet's first symbols and the rest are declared unused.  The
+# second alphabet's sorted order is not its order of first use, and its
+# symbols compare as strings ("B1" < "B10" < "B2"), so packed words must
+# order as their tuples do.
+ALPHABETS = pytest.mark.parametrize(
+    "alphabet", [["a", "b", "c"], ["b", "B10", "B", "B2", "B1"]], ids=["abc", "multichar"]
+)
+
+
+@ALPHABETS
+def test_closure_agrees_with_naive_oracle(alphabet):
     rng = random.Random(5150)
-    syms = ["a", "b"]
+    syms = alphabet[:2]
+    declared = syms + alphabet[3:]
     seen = set()
     for _ in range(150):
         words = {tuple(rng.choices(syms, k=rng.randint(0, 6))) for _ in range(rng.randint(1, 5))}
@@ -328,8 +339,8 @@ def test_closure_agrees_with_naive_oracle():
         n2 = rng.choice([1, 1, 2])
         max_len = max(map(len, words)) + rng.randint(0, 2)
         max_rounds = rng.randint(0, 3)
-        sys = system(templates, syms, n2=n2, quiet=True)
-        res = closure(sys, lang(words, syms), max_len, max_rounds)
+        sys = system(templates, declared, n2=n2, quiet=True)
+        res = closure(sys, lang(words, declared), max_len, max_rounds)
         expect, rounds, fixpoint, truncated = naive_closure(
             templates, words, max_len, max_rounds, n2=n2
         )
@@ -340,6 +351,27 @@ def test_closure_agrees_with_naive_oracle():
         seen.add((fixpoint, truncated))
     # some cases truncate and some do not; some reach a fixpoint and some do not
     assert {t for _, t in seen} == {f for f, _ in seen} == {False, True}
+
+
+def test_closure_agrees_with_naive_oracle_beyond_256_symbols():
+    # A packed word gives each symbol one character, so 300 symbols take no other path.
+    alphabet = sorted(f"s{i}" for i in range(300))
+    rng = random.Random(300)
+    for _ in range(60):
+        syms = [rng.choice(alphabet[256:]), rng.choice(alphabet)]
+        words = {tuple(rng.choices(syms, k=rng.randint(0, 6))) for _ in range(rng.randint(1, 5))}
+        templates = {
+            tuple(rng.choices(syms, k=rng.randint(3, 4))) for _ in range(rng.randint(1, 3))
+        }
+        max_len, max_rounds = max(map(len, words)) + rng.randint(0, 2), rng.randint(1, 3)
+        sys = system(templates, alphabet, quiet=True)
+        assert ord(max(sys.pack(tuple(syms)))) >= 256
+        res = closure(sys, lang(words, alphabet), max_len, max_rounds)
+        expect, rounds, fixpoint, truncated = naive_closure(templates, words, max_len, max_rounds)
+        assert res.language.words == frozenset(expect)
+        assert (res.rounds_used, res.reached_fixpoint, res.truncated_by_length) == (
+            rounds, fixpoint, truncated
+        )
 
 
 def test_derivation_trace_rejects_target_outside_alphabet():
@@ -418,19 +450,22 @@ def naive_trace(found, initial, target):
     return tuple(sorted(needed.values(), key=lambda e: (found[e.w][0], e.w)))
 
 
-def test_derivation_trace_agrees_with_naive_oracle():
+@ALPHABETS
+def test_derivation_trace_agrees_with_naive_oracle(alphabet):
     rng = random.Random(4242)
     kinds, traced, deep = set(), 0, 0
     for case in range(800):
-        syms = ["a", "b", "c"][: 2 + case % 2]
+        syms = alphabet[: 2 + case % 2]
+        declared = syms + alphabet[3:]
         words = {tuple(rng.choices(syms, k=rng.randint(0, 6))) for _ in range(rng.randint(1, 5))}
         if case % 2:
-            sys = pc_system(random_pc_templates(rng, syms, rng.randint(0, 3)), syms, quiet=True)
+            templates = random_pc_templates(rng, syms, rng.randint(0, 3))
+            sys = pc_system(templates, declared, quiet=True)
         else:
             templates = {
                 tuple(rng.choices(syms, k=rng.randint(3, 4))) for _ in range(rng.randint(0, 3))
             }
-            sys = system(templates, syms, n2=rng.choice([1, 2]), quiet=True)
+            sys = system(templates, declared, n2=rng.choice([1, 2]), quiet=True)
         max_len = max(map(len, words)) + rng.randint(0, 2)
         max_rounds = rng.randint(0, 4)
         found = naive_trace_rounds(sys, words, max_len, max_rounds)
@@ -441,7 +476,7 @@ def test_derivation_trace_agrees_with_naive_oracle():
             if w not in words and w not in found
         )
         for target in sorted(words | found.keys() | {unreachable}, key=shortlex_key):
-            got = derivation_trace(sys, lang(words, syms), target, max_len, max_rounds)
+            got = derivation_trace(sys, lang(words, declared), target, max_len, max_rounds)
             assert got == naive_trace(found, words, target), (case, target)
             traced += bool(got)
             deep += bool(got) and len(got) > 1
