@@ -17,7 +17,7 @@ from itertools import groupby
 
 from .errors import FormatError
 from .tgr import Parts, System
-from .words import Word, shortlex_key, word_text
+from .words import Word, sort_words, word_text
 
 HASH = "#"
 DOLLAR = "$"
@@ -61,7 +61,7 @@ def _joined(c: frozenset[Word]) -> Word:
     """c's words in shortlex order, separated by "&"; fewer than two words need no sort."""
     if len(c) < 2:
         return next(iter(c), ())
-    first, *rest = sorted(c, key=shortlex_key)
+    first, *rest = sort_words(c)
     return first + tuple(s for w in rest for s in (AMP, *w))
 
 

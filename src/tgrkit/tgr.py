@@ -84,10 +84,8 @@ class System:
         if clash:
             raise ValueError(f"system alphabet contains symbols that {self.kind} template words "
                              f"reserve: {sorted(clash)}")
-        # A stable sort by length after a plain sort is shortlex without a key per word.
         by_word = {self.word(t): t for t in self.templates}
-        order = sorted(sorted(by_word), key=len)
-        object.__setattr__(self, "templates", tuple(by_word[w] for w in order))
+        object.__setattr__(self, "templates", tuple(by_word[w] for w in sort_words(by_word)))
         least = 2 * self.n1 + self.n2
         object.__setattr__(self, "_chars", {s: chr(i) for i, s in enumerate(sorted(self.alphabet))})
         object.__setattr__(self, "_symbols", {c: s for s, c in self._chars.items()})
@@ -238,25 +236,38 @@ class _Engine:
     once per class it hits.  Parts, and each round's new ones, are also kept
     by length, so a prefix meets only the suffixes that fit in max_len beside
     it, and work follows the results kept.  Each new word is scanned once,
-    over its factors whose lengths are needle lengths.  Its permitting
-    contexts are tested against one factor set per word, its factors of the
-    plan's context-word lengths, built when it first hits a class with
-    contexts: the class's contexts hold iff they are a subset.  With
-    `keep_hits` each (class, part) keeps its (word, offset) sources, the
+    over its factors whose lengths are needle lengths, shortest first; at a
+    position it stops at the first factor not in `stems`, the prefixes of
+    each needle at the needle lengths below its own.  That is exact: a longer
+    needle starting there would begin with that factor, one of its stems.
+    Permitting contexts are tested against one factor set per word, its
+    factors of the plan's context-word lengths, built when it first hits a
+    class with contexts: the class's contexts hold iff they are a subset.
+    With `keep_hits` each (class, part) keeps its (word, offset) sources, the
     first-indexed source of its shortlex-least word first.
     """
 
     def __init__(self, sys: System, keep_hits: bool = False):
         self.plan: list[Split] = []
         self.classes: list[list[int]] = [[], []]  # per side, split id -> its class id
+        plan, (xcls, ycls) = self.plan, self.classes
         xids: dict[tuple, int] = {}  # x-class (x-needle, |alpha beta|, c1) -> class id
         yids: dict[tuple, int] = {}  # y-class (y-needle, |y-needle|, c2) -> class id
+        n1, n2 = sys.n1, sys.n2
         for t, (e1, body, d1, c1, c2) in zip(sys.templates, sys.packed):
-            for alpha, beta, gamma in splits(body, sys.n1, sys.n2):
-                self.plan.append((t, alpha, beta, gamma, e1))
-                ab, yneedle = alpha + beta, e1 + beta + gamma
-                self.classes[0].append(xids.setdefault((ab + d1, len(ab), c1), len(xids)))
-                self.classes[1].append(yids.setdefault((yneedle, len(yneedle), c2), len(yids)))
+            # `splits` order; cut j alone fixes the x-class and cut i the y-class
+            end = len(body) - n1 + 1  # past the last cut j
+            xs = {}
+            for j in range(n1 + n2, end):
+                xs[j] = xids.setdefault((body[:j] + d1, j, c1), len(xids))
+            for i in range(n1, end - n2):
+                yneedle = e1 + body[i:]
+                yc = yids.setdefault((yneedle, len(yneedle), c2), len(yids))
+                alpha = body[:i]
+                for j in range(i + n2, end):
+                    plan.append((t, alpha, body[i:j], body[j:], e1))
+                    xcls.append(xs[j])
+                    ycls.append(yc)
         self.index: dict[Packed, list[tuple]] = {}  # needle -> (side, class, cut, contexts, parts)
         self.users: list[list[list[int]]] = []  # per side, class id -> its split ids
         for side, ids in enumerate((xids, yids)):
@@ -267,6 +278,7 @@ class _Engine:
                 self.index.setdefault(needle, []).append((side, c, cut, contexts, {}))
             self.users.append(users)
         self.sizes = tuple(sorted({len(f) for f in self.index}))
+        self.stems = {f[:n] for f in self.index for n in self.sizes if n < len(f)}
         self.context_sizes = {len(c) for es in self.index.values() for e in es for c in e[3]}
         self.by_length: Deltas = (defaultdict(dict), defaultdict(dict))  # the parts, by length
         self.hits = ({}, {}) if keep_hits else None
@@ -275,7 +287,7 @@ class _Engine:
     def add_words(self, new: Iterable[Packed]) -> Deltas:
         """Index new words; returns the new parts of each class they touch, per side."""
         deltas: Deltas = ({}, {})
-        index, sizes, hits = self.index, self.sizes, self.hits
+        index, sizes, stems, hits = self.index, self.sizes, self.stems, self.hits
         for w in new:
             factors = None  # w's factors of context lengths, built on first need
             n = len(w)
@@ -283,7 +295,8 @@ class _Engine:
                 for size in sizes:
                     if a + size > n:
                         break
-                    for side, c, cut, contexts, known in index.get(w[a : a + size], ()):
+                    f = w[a : a + size]
+                    for side, c, cut, contexts, known in index.get(f, ()):
                         if contexts:
                             if factors is None:
                                 factors = _factors(w, self.context_sizes)
@@ -298,6 +311,8 @@ class _Engine:
                             sources.append((w, a))
                             if shortlex_key(w) < shortlex_key(sources[0][0]):
                                 sources[0], sources[-1] = sources[-1], sources[0]
+                    if f not in stems:
+                        break
         return deltas
 
     def run(self, deltas: Deltas, max_len: int | None) -> tuple[set[Packed], bool]:

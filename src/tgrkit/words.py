@@ -9,6 +9,7 @@ all operations are pure, so everything is safe to share between callers.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Iterator, Mapping
 
 from .errors import CodingDomainError, FormatError
@@ -48,7 +49,8 @@ def shortlex_key(w: Word) -> tuple[int, Word]:
 
 
 def sort_words(words: Iterable[Word]) -> list[Word]:
-    return sorted(words, key=shortlex_key)
+    """Shortlex order: a stable sort by length after a plain sort needs no key per word."""
+    return sorted(sorted(words), key=len)
 
 
 def occurrences(needle: Word, hay: Word) -> list[int]:
@@ -69,7 +71,9 @@ class FiniteLanguage:
     alphabet: Alphabet
 
     def __post_init__(self):
-        for w in self.words:
+        if self.alphabet.issuperset(chain.from_iterable(self.words)):
+            return
+        for w in self.words:  # name the first bad word and symbol
             for sym in w:
                 if sym not in self.alphabet:
                     raise FormatError(

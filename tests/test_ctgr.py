@@ -415,6 +415,36 @@ def results_by_definition(x, y, tp):
     return out
 
 
+def test_closure_with_needle_lengths_two_and_four():
+    # Needles have lengths 2 and 4 only, and the y-needle "b b b b" starts with
+    # "b b", which is no needle: the scan at a position must go on past a factor
+    # that is no needle while it still starts a longer one.
+    syms = ["a", "b"]
+    short, long = pc_template("@", "a b a", "@"), pc_template("b b", "a b b", "b a")
+    sys, short_only = pc_system([short, long], syms), pc_system([short], syms)
+    engine = _Engine(sys)
+    assert engine.sizes == (2, 4)
+    assert sys.pack(word("b b b b")) in engine.index and sys.pack(word("b b")) not in engine.index
+    rng = random.Random(2424)
+    fired = 0
+    for _ in range(60):
+        # b-heavy words, so that "b b b b" occurs
+        words = {tuple(rng.choices(syms, [1, 3], k=rng.randint(3, 8)))
+                 for _ in range(rng.randint(2, 6))}
+        max_len, max_rounds = max(map(len, words)) + rng.randint(0, 2), rng.randint(1, 3)
+        res = closure(sys, lang(words, syms), max_len, max_rounds)
+        expect, r, fixpoint, truncated = naive_closure(
+            sys, words, max_len, max_rounds, results_by_definition
+        )
+        assert res.language.words == expect, sorted(words)
+        assert (res.rounds_used, res.reached_fixpoint, res.truncated_by_length) == (
+            r, fixpoint, truncated
+        )
+        without_long = naive_closure(short_only, words, max_len, r, results_by_definition)[0]
+        fired += expect != without_long
+    assert fired >= 10
+
+
 def test_contexts_of_several_words_and_lengths():
     # c1 and c2 hold 2-3 words of lengths 1-3, so a word's factor set mixes
     # lengths, and a context word may be longer than the word it is tested on.

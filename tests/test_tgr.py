@@ -401,6 +401,45 @@ def test_resource_limit_reports_round_counts():
         derivation_trace(sys, start, word("S a S a S a S"), 10, 3, max_set_size=2)
 
 
+@pytest.mark.parametrize("kind", ["plain", "contextual"])
+def test_engine_plan_lists_each_templates_splits_in_order(kind):
+    # The engine enumerates cuts itself; its plan and class ids must be those of
+    # `splits`, template by template, with class ids numbered in order of first use.
+    rng = random.Random(1818)
+    syms = ["a", "b", "c"]
+
+    def rand_word(lo, hi):
+        return tuple(rng.choices(syms, k=rng.randint(lo, hi)))
+
+    if kind == "plain":
+        sys = system({rand_word(2, 7) for _ in range(10)}, syms, quiet=True)
+    else:
+        templates = [PCTemplate(rand_word(0, 2), rand_word(3, 8), rand_word(0, 2),
+                                frozenset({rand_word(0, 2)}), frozenset({rand_word(0, 2)}))
+                     for _ in range(10)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", InertTemplateWarning)
+            sys = CTGRSystem(templates=templates, alphabet=make_alphabet(syms), n1=1, n2=2)
+    pack = sys.pack
+    plan, xkeys, ykeys = [], [], []
+    for t in sys.templates:
+        e1, body, d1, c1, c2 = sys.parts(t)
+        for alpha, beta, gamma in tgr.splits(body, sys.n1, sys.n2):
+            plan.append((t, pack(alpha), pack(beta), pack(gamma), pack(e1)))
+            xkeys.append((pack(alpha + beta + d1), len(alpha + beta), frozenset(map(pack, c1))))
+            yneedle = e1 + beta + gamma
+            ykeys.append((pack(yneedle), len(yneedle), frozenset(map(pack, c2))))
+
+    def first_use_ids(keys):
+        ids = {}
+        return [ids.setdefault(k, len(ids)) for k in keys]
+
+    engine = tgr._Engine(sys)
+    assert engine.plan == plan
+    assert engine.classes == [first_use_ids(xkeys), first_use_ids(ykeys)]
+    assert len(set(engine.classes[0])) < len(plan) > len(set(engine.classes[1]))
+
+
 def test_derivation_trace_gives_none_for_a_target_over_max_len_before_any_round(monkeypatch):
     def no_engine(*args, **kwargs):
         raise AssertionError("no round can reach a target longer than max_len")

@@ -14,7 +14,7 @@ from tgrkit import (
     word,
     word_text,
 )
-from tgrkit.words import make_alphabet
+from tgrkit.words import make_alphabet, shortlex_key, sort_words
 
 
 def test_word_round_trip():
@@ -70,8 +70,20 @@ def test_apply_coding_is_homomorphic(u, v):
 
 
 def test_finite_language_checks_alphabet():
-    with pytest.raises(FormatError):
+    with pytest.raises(FormatError, match="word 'a z' uses symbol 'z' outside the alphabet"):
         FiniteLanguage(frozenset({word("a z")}), make_alphabet("a"))
+    with pytest.raises(FormatError, match="symbol 'z'"):
+        FiniteLanguage(frozenset({word("a a"), (), word("a z a"), word("a")}), make_alphabet("a"))
+
+
+# Symbols of several characters compare as strings ("B1" < "B10" < "B2"), not by length.
+MULTICHAR_WORDS = st.lists(st.lists(st.sampled_from(["B", "B1", "B10", "B2", "a", "b"]),
+                                    max_size=5).map(tuple), max_size=12)
+
+
+@given(MULTICHAR_WORDS)
+def test_sort_words_is_shortlex(words):
+    assert sort_words(words) == sorted(words, key=shortlex_key)
 
 
 def test_finite_language_canonical_order_is_stable():
