@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 from pathlib import Path
 
 from .dumps import dump_text, load_dump
@@ -240,24 +241,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _warning_line(message, *_) -> None:
+    sys.stderr.write(f"warning: {message}\n")
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        return args.func(args)
-    except FileNotFoundError as exc:
-        sys.stderr.write(f"file not found: {exc.filename}\n")
-        return EXIT_USAGE
-    except OSError as exc:
-        sys.stderr.write(f"{exc}\n")
-        return EXIT_USAGE
-    except ResourceLimitError as exc:
-        # A set-size cap reached is a cap too small to decide.
-        sys.stderr.write(f"{exc}\n")
-        return EXIT_INCONCLUSIVE
-    except (TgrkitError, ValueError) as exc:
-        # Every ValueError the library raises is an argument check.
-        sys.stderr.write(f"{exc}\n")
-        return EXIT_USAGE
+    with warnings.catch_warnings():  # library warnings print as one plain line each
+        warnings.simplefilter("default")
+        warnings.showwarning = _warning_line
+        try:
+            return args.func(args)
+        except FileNotFoundError as exc:
+            sys.stderr.write(f"file not found: {exc.filename}\n")
+            return EXIT_USAGE
+        except OSError as exc:
+            sys.stderr.write(f"{exc}\n")
+            return EXIT_USAGE
+        except ResourceLimitError as exc:
+            # A set-size cap reached is a cap too small to decide.
+            sys.stderr.write(f"{exc}\n")
+            return EXIT_INCONCLUSIVE
+        except (TgrkitError, ValueError) as exc:
+            # Every ValueError the library raises is an argument check.
+            sys.stderr.write(f"{exc}\n")
+            return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -107,7 +107,10 @@ def load_dump(text: str) -> LoadedDump:
                     raise FormatError(msg, line=lineno)
                 header[key] = int(rest)
             elif key == "alphabet":
-                header[key] = make_alphabet(rest.split())
+                try:
+                    header[key] = make_alphabet(rest.split())
+                except FormatError as exc:
+                    raise FormatError(str(exc), line=lineno) from None
             else:
                 raise FormatError(f"unexpected header line {line!r}", line=lineno)
         elif section == "BASE":

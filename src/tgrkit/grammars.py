@@ -43,11 +43,14 @@ class _Grammar:
         overlap = self.nonterminals & self.terminals
         if overlap:
             raise FormatError(f"nonterminals and terminals overlap: {sorted(overlap)}")
+        symbols = make_alphabet(self.nonterminals | self.terminals)
+        if "->" in symbols:
+            raise FormatError("bad symbol token '->': it separates a rule's sides")
         if self.start not in self.nonterminals:
             raise FormatError(f"start symbol {self.start!r} is not a declared nonterminal")
         for r in self.rules:
             for sym in r.lhs + r.rhs:
-                if sym not in self.nonterminals and sym not in self.terminals:
+                if sym not in symbols:
                     raise FormatError(f"rule {r.text()!r} uses undeclared symbol {sym!r}")
         for r in self.rules:
             self._check_rule(r)
@@ -134,6 +137,8 @@ def parse_grammar(text: str) -> Grammar:
         elif key == "start":
             if len(fields) != 2:
                 raise FormatError("expected 'start <symbol>'", line=lineno)
+            if start is not None:
+                raise FormatError("duplicate 'start' line", line=lineno)
             start = fields[1]
         elif key == "rule":
             body = fields[1:]

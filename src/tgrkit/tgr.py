@@ -236,15 +236,15 @@ class _Engine:
     once per class it hits.  Parts, and each round's new ones, are also kept
     by length, so a prefix meets only the suffixes that fit in max_len beside
     it, and work follows the results kept.  Each new word is scanned once,
-    over its factors whose lengths are needle lengths, shortest first; at a
-    position it stops at the first factor not in `stems`, the prefixes of
-    each needle at the needle lengths below its own.  That is exact: a longer
-    needle starting there would begin with that factor, one of its stems.
-    Permitting contexts are tested against one factor set per word, its
-    factors of the plan's context-word lengths, built when it first hits a
-    class with contexts: the class's contexts hold iff they are a subset.
-    With `keep_hits` each (class, part) keeps its (word, offset) sources, the
-    first-indexed source of its shortlex-least word first.
+    over its factors whose lengths are needle lengths, shortest first, with
+    one index lookup each.  The index maps each needle's stems, its prefixes
+    at shorter needle lengths, to no entries too, and a scan at a position
+    stops at the first factor that is no key: a longer needle would begin
+    with it.  A class's permitting contexts hold iff they are a subset of the
+    word's factors of the plan's context-word lengths, one set per word,
+    built when it first hits a class with contexts.  `parts[side][class]` is
+    a class's part dict; with `keep_hits` a part's value is its (word, offset)
+    sources, the first-indexed one of its shortlex-least word first, else None.
     """
 
     def __init__(self, sys: System, keep_hits: bool = False):
@@ -270,24 +270,26 @@ class _Engine:
                     ycls.append(yc)
         self.index: dict[Packed, list[tuple]] = {}  # needle -> (side, class, cut, contexts, parts)
         self.users: list[list[list[int]]] = []  # per side, class id -> its split ids
+        self.parts: tuple[list[dict], ...] = ([], [])  # per side, class id -> its parts
         for side, ids in enumerate((xids, yids)):
             users: list[list[int]] = [[] for _ in ids]
             for i, c in enumerate(self.classes[side]):
                 users[c].append(i)
-            for (needle, cut, contexts), c in ids.items():
-                self.index.setdefault(needle, []).append((side, c, cut, contexts, {}))
+            for (needle, cut, contexts), c in ids.items():  # in class id order
+                self.parts[side].append(known := {})
+                self.index.setdefault(needle, []).append((side, c, cut, contexts, known))
             self.users.append(users)
         self.sizes = tuple(sorted({len(f) for f in self.index}))
-        self.stems = {f[:n] for f in self.index for n in self.sizes if n < len(f)}
+        self.index = {f[:n]: [] for f in self.index for n in self.sizes if n < len(f)} | self.index
         self.context_sizes = {len(c) for es in self.index.values() for e in es for c in e[3]}
         self.by_length: Deltas = (defaultdict(dict), defaultdict(dict))  # the parts, by length
-        self.hits = ({}, {}) if keep_hits else None
+        self.keep_hits = keep_hits
         self.pairs: list[Pair] | None = None  # with keep_hits, the last run's kept pairs
 
     def add_words(self, new: Iterable[Packed]) -> Deltas:
         """Index new words; returns the new parts of each class they touch, per side."""
         deltas: Deltas = ({}, {})
-        index, sizes, stems, hits = self.index, self.sizes, self.stems, self.hits
+        index, sizes, keep_hits = self.index, self.sizes, self.keep_hits
         for w in new:
             factors = None  # w's factors of context lengths, built on first need
             n = len(w)
@@ -295,8 +297,10 @@ class _Engine:
                 for size in sizes:
                     if a + size > n:
                         break
-                    f = w[a : a + size]
-                    for side, c, cut, contexts, known in index.get(f, ()):
+                    entries = index.get(w[a : a + size])
+                    if entries is None:  # no needle starts with w[a : a + size]
+                        break
+                    for side, c, cut, contexts, known in entries:
                         if contexts:
                             if factors is None:
                                 factors = _factors(w, self.context_sizes)
@@ -304,15 +308,13 @@ class _Engine:
                                 continue
                         part = w[a + cut :] if side else w[: a + cut]
                         if part not in known:
-                            known[part] = None
+                            known[part] = [] if keep_hits else None
                             deltas[side].setdefault(c, {}).setdefault(len(part), []).append(part)
-                        if hits is not None:  # the shortlex-least source stays first
-                            sources = hits[side].setdefault((c, part), [])
+                        if keep_hits:  # the shortlex-least source stays first
+                            sources = known[part]
                             sources.append((w, a))
                             if shortlex_key(w) < shortlex_key(sources[0][0]):
                                 sources[0], sources[-1] = sources[-1], sources[0]
-                    if f not in stems:
-                        break
         return deltas
 
     def run(self, deltas: Deltas, max_len: int | None) -> tuple[set[Packed], bool]:
@@ -327,7 +329,7 @@ class _Engine:
         prefixes, suffixes = self.by_length
         new_p, new_s = deltas
         _merge(suffixes, new_s)  # the prefixes take this round's new ones after the pairing
-        pairs = self.pairs = None if self.hits is None else []
+        pairs = self.pairs = [] if self.keep_hits else None
         touched = sorted({i for side in (0, 1) for c in deltas[side] for i in self.users[side][c]})
         for i in touched:
             xc, yc = self.classes[0][i], self.classes[1][i]
@@ -360,9 +362,9 @@ def step_events(sys: System, language: FiniteLanguage) -> list[RecombinationEven
     """Like step but returns the full event list (for audits and tests)."""
     engine = _Engine(sys, keep_hits=True)
     engine.run(engine.add_words(sort_words(map(sys.pack, language.words))), None)
-    xs, ys = engine.hits
+    xs, ys = engine.parts
     return [_unpacked(sys, _event(engine.plan[i], x, ox, y, oy)) for i, p, s in engine.pairs
-            for x, ox in xs[engine.classes[0][i], p] for y, oy in ys[engine.classes[1][i], s]]
+            for x, ox in xs[engine.classes[0][i]][p] for y, oy in ys[engine.classes[1][i]][s]]
 
 
 @dataclass(frozen=True)
@@ -471,7 +473,7 @@ def derivation_trace(
             w = p + engine.plan[i][3] + s
             if w in new:
                 xc, yc = engine.classes[0][i], engine.classes[1][i]
-                ev = _event(engine.plan[i], *engine.hits[0][xc, p][0], *engine.hits[1][yc, s][0])
+                ev = _event(engine.plan[i], *engine.parts[0][xc][p][0], *engine.parts[1][yc][s][0])
                 if w not in best or key(ev) < key(best[w]):
                     best[w] = ev
         found.update((w, (r, ev)) for w, ev in best.items())

@@ -2,8 +2,9 @@
 
 A symbol is a nonempty whitespace-free token compared by exact equality;
 "#", "$" and "&" are ordinary tokens.  A word is a tuple of symbols; the
-empty word is spelled "@" in text form.  All values here are immutable and
-all operations are pure, so everything is safe to share between callers.
+empty word is spelled "@" in text form, so "@" is no symbol.  All values
+here are immutable and all operations are pure, so everything is safe to
+share between callers.
 """
 
 from __future__ import annotations
@@ -23,6 +24,8 @@ EMPTY_WORD_TEXT = "@"
 def check_symbol(token: str) -> str:
     if not token or any(ch.isspace() for ch in token):
         raise FormatError(f"bad symbol token {token!r}: must be nonempty and whitespace-free")
+    if token == EMPTY_WORD_TEXT:
+        raise FormatError(f"bad symbol token {token!r}: it spells the empty word")
     return token
 
 
@@ -71,6 +74,8 @@ class FiniteLanguage:
     alphabet: Alphabet
 
     def __post_init__(self):
+        for sym in self.alphabet:  # each symbol must read back from text as itself
+            check_symbol(sym)
         if self.alphabet.issuperset(chain.from_iterable(self.words)):
             return
         for w in self.words:  # name the first bad word and symbol

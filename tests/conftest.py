@@ -10,6 +10,9 @@ from tgrkit.grammars import Rule
 from tgrkit.words import make_alphabet
 
 DATA = Path(__file__).parent / "data"
+# Tokens some text format gives a meaning ("@" the empty word, "->" a rule's
+# arrow, "#" a comment), next to plain ones: round-trip tests draw from these.
+TEXT_SYMBOLS = ["a", "b", "S", "A", "@", "->", "#", "$", "&", "X'"]
 
 
 def load_grammar(name: str):

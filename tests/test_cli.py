@@ -84,6 +84,18 @@ def test_closure_tiny_caps_reports_flags(capsys, tmp_path):
     assert "fixpoint false" in out or "truncated true" in out
 
 
+def test_closure_prints_library_warnings_as_plain_lines(capsys, tmp_path):
+    dump = tmp_path / "d"
+    run(capsys, "compile", "reg", DATA / "astar_b.grammar", "--out", dump)
+    args = ("closure", dump, "--max-len", 11, "--format", "lines")
+    _, expected, _ = run(capsys, *args)
+    dump.write_text(dump.read_text().replace("a S b\n", "a S b\na S\n", 1))
+    code, out, err = run(capsys, *args)
+    assert (code, out) == (0, expected)
+    assert err == ("warning: 1 template(s) have bodies shorter than 2*n1+n2=3 "
+                   "and can never fire, e.g. 'a S'\n")
+
+
 def test_closure_with_base_override(capsys, tmp_path):
     dump = tmp_path / "d"
     run(capsys, "compile", "reg", DATA / "astar_b.grammar", "--out", dump)
@@ -400,6 +412,9 @@ def test_usage_error_exit_code(capsys):
                      id="after-end"),
         pytest.param("S -> @", "S -> @\nzz -> zz",
                      "line 16: coding symbol 'zz' is outside the alphabet", id="coding-outside"),
+        # "@" spells the empty word, so a base line "@" could not be the symbol "@".
+        pytest.param("alphabet # S a b", "alphabet # S a b @",
+                     "line 4: bad symbol token '@': it spells the empty word", id="at-symbol"),
     ],
 )
 def test_closure_malformed_dump_is_usage_error(capsys, tmp_path, old, new, message):

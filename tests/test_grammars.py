@@ -4,6 +4,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from tgrkit import (
     FormatError,
@@ -18,7 +19,7 @@ from tgrkit import (
     word,
 )
 from tgrkit.grammars import Rule, derivation_steps
-from conftest import load_grammar, random_regular_grammar
+from conftest import TEXT_SYMBOLS, load_grammar, random_regular_grammar
 
 
 def test_parse_regular_grammar(astar_b):
@@ -61,6 +62,50 @@ def test_parse_rejects_undeclared_symbols():
 def test_grammar_text_round_trip(astar_b, anbn):
     assert parse_grammar(grammar_text(astar_b)) == astar_b
     assert parse_grammar(grammar_text(anbn)) == anbn
+
+
+def test_parse_rejects_second_start_line():
+    text = "type regular\nnonterminals S A\nterminals a\nstart S\nstart A\nrule A -> a\n"
+    with pytest.raises(FormatError, match="line 5: duplicate 'start' line"):
+        parse_grammar(text)
+
+
+@pytest.mark.parametrize("sym", ["->", "@"])
+def test_grammar_rejects_format_tokens_as_symbols(sym):
+    with pytest.raises(FormatError, match=f"bad symbol token '{sym}'"):
+        KurodaGrammar(frozenset({"S", sym, "D"}), frozenset({"a"}), "S",
+                      (Rule((sym,), ("S", "D")),))
+
+
+@st.composite
+def grammar_fields(draw):
+    """Fields of a well-formed grammar of either kind over TEXT_SYMBOLS."""
+    symbols = draw(st.lists(st.sampled_from(TEXT_SYMBOLS), min_size=2, unique=True))
+    cut = draw(st.integers(1, len(symbols) - 1))
+    nts, ts = symbols[:cut], symbols[cut:]
+    nt, t = st.sampled_from(nts), st.sampled_from(ts)
+    one, two = st.tuples(nt), st.tuples(nt, nt)
+    if draw(st.booleans()):
+        cls, rhs = RegularGrammar, st.one_of(st.just(()), st.tuples(t), st.tuples(t, nt))
+        rule = st.builds(Rule, one, rhs)
+    else:
+        cls, rhs = KurodaGrammar, st.one_of(st.just(()), st.tuples(t), two)
+        rule = st.one_of(st.builds(Rule, one, rhs), st.builds(Rule, two, two))
+    rules = draw(st.lists(rule, max_size=5))
+    return cls, frozenset(nts), frozenset(ts), draw(nt), tuple(rules)
+
+
+@given(grammar_fields())
+@example((KurodaGrammar, frozenset({"S", "->", "D"}), frozenset({"a"}), "S",
+          (Rule(("->",), ("S", "D")),)))
+def test_grammar_text_round_trips(fields):
+    cls, nts, ts, start, rules = fields
+    try:
+        g = cls(nts, ts, start, rules)
+    except FormatError:  # only symbols that spell format tokens are refused
+        assert {"@", "->"} & (nts | ts)
+        return
+    assert parse_grammar(grammar_text(g)) == g
 
 
 def test_enumerate_astar_b(astar_b):

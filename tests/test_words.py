@@ -3,7 +3,7 @@ from __future__ import annotations
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from tgrkit import (
     CodingDomainError,
@@ -15,6 +15,7 @@ from tgrkit import (
     word_text,
 )
 from tgrkit.words import make_alphabet, shortlex_key, sort_words
+from conftest import TEXT_SYMBOLS
 
 
 def test_word_round_trip():
@@ -22,7 +23,7 @@ def test_word_round_trip():
     assert word("@") == ()
     assert word_text(("S", "a", "#")) == "S a #"
     assert word_text(()) == "@"
-    # "@" alone spells the empty word, so it is left out of the symbol pool.
+    # "@" alone spells the empty word, so it is no symbol (see test_at_is_no_symbol).
     rng = random.Random(4242)
     pool = ["a", "b", "S", "#", "$", "&", "B1", "X'", "Y_B2", "\u00e9", "a@"]
     for _ in range(300):
@@ -39,6 +40,25 @@ def test_word_rejects_blank_and_bad_tokens():
             word(text)
     with pytest.raises(FormatError):
         make_alphabet(["a b"])
+
+
+def test_at_is_no_symbol():
+    with pytest.raises(FormatError, match="bad symbol token '@': it spells the empty word"):
+        make_alphabet(["a", "@"])
+
+
+@given(st.sets(st.lists(st.sampled_from(TEXT_SYMBOLS), max_size=4).map(tuple), max_size=6),
+       st.sets(st.sampled_from(TEXT_SYMBOLS)))
+@example({("@",), ()}, set())
+def test_language_text_round_trips(words, extra):
+    alphabet = frozenset(extra.union(*words))
+    try:
+        lang = FiniteLanguage(frozenset(words), alphabet)
+        text = lang.to_text()
+    except FormatError:  # only a symbol "@" or a word led by "#" cannot be written
+        assert "@" in alphabet or any(w[:1] == ("#",) for w in words)
+        return
+    assert parse_language(text, lang.alphabet) == lang
 
 
 def test_apply_coding_erases_markers():
