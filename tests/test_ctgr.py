@@ -374,7 +374,7 @@ def test_part_classes_keep_cuts_and_contexts_apart():
         ],
         syms,
     )
-    index = _Engine(sys).index
+    (index,) = _Engine(sys).index  # contexts: one index holds both sides' needles
     xkeys = {(needle, cut, c1) for needle, entries in index.items()
              for side, _, cut, c1, _ in entries if side == 0}
     packed = sys.pack  # the engine's needles are packed words
@@ -423,9 +423,10 @@ def test_closure_with_needle_lengths_two_and_four():
     short, long = pc_template("@", "a b a", "@"), pc_template("b b", "a b b", "b a")
     sys, short_only = pc_system([short, long], syms), pc_system([short], syms)
     engine = _Engine(sys)
-    assert engine.sizes == (2, 4)
-    # "b b" is a key of the index only as a stem of "b b b b", with no entries
-    assert sys.pack(word("b b b b")) in engine.index and not engine.index.get(sys.pack(word("b b")))
+    assert engine.sizes == ((2, 4), (2, 4))  # each side's own index: no contexts, no kept hits
+    # "b b" is a key of the y-index only as a stem of "b b b b", with no entries
+    yindex = engine.index[1]
+    assert sys.pack(word("b b b b")) in yindex and not yindex.get(sys.pack(word("b b")))
     rng = random.Random(2424)
     fired = 0
     for _ in range(60):
@@ -444,6 +445,27 @@ def test_closure_with_needle_lengths_two_and_four():
         without_long = naive_closure(short_only, words, max_len, r, results_by_definition)[0]
         fired += expect != without_long
     assert fired >= 10
+
+
+def test_closure_prefix_scan_goes_past_a_known_part():
+    # No contexts, so each side is scanned on its own and the x-scan, right to
+    # left, skips only the x-needles ending where a known part's needle ends.
+    # Round 1 makes "c a b c" from "c a b a" and "b c".  In round 2 its x-part
+    # "c a b" under the needle "a b" (ending at 3) is known from "c a b a", but
+    # the needle "c a b c" (x-part "c a b" through the overhang d1 = "c") ends
+    # at 4: that part is new, and its split (c a, b, b) with "b b a" makes
+    # "c a b b a".  An x-scan ending at the first known part misses it.
+    syms = ["a", "b", "c"]
+    sys = pc_system([pc_template("@", "a b a", "@"), pc_template("@", "a b c", "@"),
+                     pc_template("@", "c a b b", "c")], syms)
+    words = {word("c a b a"), word("b c"), word("b b a")}
+    res = closure(sys, lang(words, syms), 5, 2)
+    expect, r, fixpoint, truncated = naive_closure(sys, words, 5, 2)
+    assert word("c a b b a") in expect
+    assert res.language.words == expect
+    assert (res.rounds_used, res.reached_fixpoint, res.truncated_by_length) == (
+        r, fixpoint, truncated
+    )
 
 
 def test_contexts_of_several_words_and_lengths():

@@ -20,11 +20,11 @@ from tgrkit import (
     tgr,
     word,
 )
-from tgrkit.errors import ResourceLimitError
+from tgrkit.errors import FormatError, ResourceLimitError
 from tgrkit.tgr import InertTemplateWarning
 from tgrkit.words import make_alphabet, shortlex_key
 
-from test_ctgr import PC_TEMPLATES, pc_system, random_pc_templates
+from test_ctgr import PC_TEMPLATES, pc_system, pc_template, random_pc_templates
 
 
 def system(templates, alphabet, n1=1, n2=1, quiet=False):
@@ -263,6 +263,16 @@ def test_system_validation(kind):
     assert [w.filename for w in record] == [__file__]
 
 
+@pytest.mark.parametrize("kind", [TGRSystem, CTGRSystem], ids=lambda kind: kind.__name__)
+@pytest.mark.parametrize("bad", ["@", "", "a b"])
+def test_system_rejects_alphabet_symbols_no_language_takes(kind, bad):
+    # Checked before any template is packed: a system over "@" would build, and
+    # fail only at the first FiniteLanguage made over its alphabet.
+    t = ("a", "b", "a") if kind is TGRSystem else PCTemplate((), ("a", "b", "a"), (), set(), set())
+    with pytest.raises(FormatError, match=f"bad symbol token {bad!r}"):
+        kind([t], frozenset({"a", "b", bad}))
+
+
 PLAIN_TEMPLATES = st.lists(st.sampled_from(["a", "b", "c", "X"]), max_size=5).map(tuple)
 
 
@@ -438,6 +448,33 @@ def test_engine_plan_lists_each_templates_splits_in_order(kind):
     assert engine.plan == plan
     assert engine.classes == [first_use_ids(xkeys), first_use_ids(ykeys)]
     assert len(set(engine.classes[0])) < len(plan) > len(set(engine.classes[1]))
+
+
+@pytest.mark.parametrize("kind, keep_hits, sides, sizes", [
+    ("plain", False, [{0}, {1}], ((2,), (2,))),
+    ("plain", True, [{0, 1}], ((2,),)),
+    ("no contexts", False, [{0}, {1}], ((4,), (2,))),
+    ("no contexts", True, [{0, 1}], ((2, 4),)),
+    ("one context", False, [{0, 1}], ((2, 4),)),
+    ("one context", True, [{0, 1}], ((2, 4),)),
+])
+def test_engine_scans_each_side_alone_without_kept_hits_or_contexts(kind, keep_hits, sides, sizes):
+    # Without kept hits or contexts each side has its own needle index, with its
+    # own needle lengths and stems, for the split scan; otherwise one index holds
+    # both sides' needles for the combined scan.  "a b a" with d1 = "c c" has the
+    # x-needle "a b c c" and the y-needle "b a", so only a combined index has the
+    # stem "a b".
+    overhang = pc_template("@", "a b a", "c c")
+    sys = {"plain": system({word("a b a")}, "abc"),
+           "no contexts": pc_system([overhang], "abc"),
+           "one context": pc_system([overhang, pc_template("@", "b c b", "@", c2=["a"])], "abc"),
+           }[kind]
+    engine = tgr._Engine(sys, keep_hits)
+    assert [{side for entries in index.values() for side, *_ in entries}
+            for index in engine.index] == sides
+    assert engine.sizes == sizes
+    stems = [f for index in engine.index for f, entries in index.items() if not entries]
+    assert stems == ([sys.pack(word("a b"))] if sizes == ((2, 4),) else [])
 
 
 def test_derivation_trace_gives_none_for_a_target_over_max_len_before_any_round(monkeypatch):
