@@ -124,7 +124,7 @@ def _event_line(system: System, ev: RecombinationEvent) -> str:
 
 def cmd_trace(args) -> int:
     if args.kind == "reg":
-        if not args.target:
+        if args.target is None:
             raise TgrkitError("trace reg needs --target")
         cr = compile_regular(_load_grammar(args.grammar, RegularGrammar))
         trace = derivation_trace(

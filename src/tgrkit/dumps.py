@@ -81,8 +81,9 @@ def load_dump(text: str) -> LoadedDump:
     base_words: set[Word] = set()
     templates: list = []  # words, or templates parsed from tau words
     context_sets: dict = {}  # shared by this load's parse_tau calls
-    filter_text: str | None = None
+    filter_: Pattern | None = None
     coding_map: dict[str, str | None] = {}
+    alphabet = template_symbols = None  # from the alphabet line; template words add reserved ones
 
     for lineno, raw in enumerate(lines[1:], start=2):
         line = raw.strip()
@@ -108,23 +109,36 @@ def load_dump(text: str) -> LoadedDump:
                 header[key] = int(rest)
             elif key == "alphabet":
                 try:
-                    header[key] = make_alphabet(rest.split())
+                    header[key] = alphabet = make_alphabet(rest.split())
                 except FormatError as exc:
                     raise FormatError(str(exc), line=lineno) from None
+                template_symbols = alphabet | SYSTEMS[kind].reserved
             else:
                 raise FormatError(f"unexpected header line {line!r}", line=lineno)
         elif section == "BASE":
-            base_words.add(word(line))
+            w = word(line)
+            if alphabet is not None and not alphabet.issuperset(w):
+                sym = next(s for s in w if s not in alphabet)
+                msg = f"word {word_text(w)!r} uses symbol {sym!r} outside the alphabet"
+                raise FormatError(msg, line=lineno)
+            base_words.add(w)
         elif section == "TEMPLATES":
+            w = word(line)
+            if template_symbols is not None and not template_symbols.issuperset(w):
+                sym = next(s for s in w if s not in template_symbols)
+                msg = f"template symbol {sym!r} is outside the system alphabet"
+                raise FormatError(msg, line=lineno)
             try:
-                w = word(line)
                 templates.append(parse_tau(w, context_sets) if kind == "ctgr" else w)
             except FormatError as exc:
                 raise FormatError(str(exc), line=lineno) from None
         elif section == "FILTER":
-            if filter_text is not None:
+            if filter_ is not None:
                 raise FormatError("FILTER holds one pattern line, found a second", line=lineno)
-            filter_text = line
+            try:
+                filter_ = parse_pattern(line)
+            except FormatError as exc:
+                raise FormatError(str(exc), line=lineno) from None
         elif section == "CODING":
             fields = line.split()
             if len(fields) != 3 or fields[1] != "->":
@@ -133,13 +147,13 @@ def load_dump(text: str) -> LoadedDump:
             sym, _arrow, image = fields
             if sym in coding_map:
                 raise FormatError(f"symbol {sym!r} is coded twice", line=lineno)
-            if "alphabet" in header and sym not in header["alphabet"]:
+            if alphabet is not None and sym not in alphabet:
                 raise FormatError(f"coding symbol {sym!r} is outside the alphabet", line=lineno)
             coding_map[sym] = None if image == "@" else image
         elif section == "PROVENANCE":
             pass  # informational only
 
-    alphabet = header.pop("alphabet", None)
+    header.pop("alphabet", None)
     if alphabet is None:
         raise FormatError("dump is missing the 'alphabet' header line")
     if section != "END":
@@ -147,6 +161,6 @@ def load_dump(text: str) -> LoadedDump:
     return LoadedDump(
         system=SYSTEMS[kind](templates, alphabet, **header),
         base=FiniteLanguage(frozenset(base_words), alphabet),
-        filter=parse_pattern(filter_text) if filter_text else None,
+        filter=filter_,
         coding=WeakCoding(coding_map) if coding_map else None,
     )

@@ -183,12 +183,14 @@ def _factors(w: Word, sizes: Iterable[int]) -> set[Word]:
 
 
 def _needle_index(entries: list[tuple[Packed, tuple]]) -> tuple[dict, tuple[int, ...]]:
-    """needle -> entries, each needle's stems -> none; and the needle lengths, ascending."""
+    """needle -> entries, stems -> none; and the needle lengths.  x-needles alone: suffix stems."""
     index: dict[Packed, list] = {}
     for needle, entry in entries:
         index.setdefault(needle, []).append(entry)
     sizes = tuple(sorted({len(f) for f in index}))
-    return {f[:n]: [] for f in index for n in sizes if n < len(f)} | index, sizes
+    by_end = not any(side for _, (side, *_) in entries)
+    stems = {(f[-n:] if by_end else f[:n]): [] for f in index for n in sizes if n < len(f)}
+    return stems | index, sizes
 
 
 def _merge(groups: ByLength, new: ByLength) -> None:
@@ -247,20 +249,21 @@ class _Engine:
     than an empty set), so a new word's part is sliced, checked and recorded
     once per class it hits.  Parts, and each round's new ones, are also kept
     by length, so a prefix meets only the suffixes that fit in max_len beside
-    it, and work follows the results kept.  A scan looks up a new word's
-    factors of needle lengths, shortest first at a position; a needle index
-    also maps each needle's stems, its prefixes at shorter needle lengths, to
-    no entries, so a position's lookups stop at the first factor that is no
-    key.  A class's permitting contexts hold iff they are a subset of the
-    word's factors of the plan's context-word lengths, one set per word,
-    built when it first hits a class with contexts.  With `keep_hits` or any
-    permitting context, one combined scan visits every position, left to
-    right, in one index of both sides' needles.  Otherwise each side has its
-    own index and scan, ending where an earlier word's parts take over,
-    exactly, as every part of every scanned word is recorded: the y-scan,
-    left to right, at its first known part (an earlier word ends in the same
-    w[a:]); the x-scan, right to left, skips x-needles ending at or before
-    the end e of a known part's needle (an earlier word starts with w[:e]).
+    it, and work follows the results kept.  The forward scan looks up a new
+    word's factors of needle lengths starting at each position, shortest
+    first; a needle index also maps each needle's stems, its prefixes at
+    shorter needle lengths, to no entries, so a position's lookups stop at the
+    first factor that is no key.  A class's permitting contexts hold iff they
+    are a subset of the word's factors of the plan's context-word lengths, one
+    set per word, built when it first hits a class with contexts.  With
+    `keep_hits` or any permitting context, the forward scan visits every
+    position in one index of both sides' needles.  Otherwise each side has its
+    own index and each scan ends at its first known part, exactly, as every
+    part of every scanned word is recorded: the forward scan reads y-needles
+    alone, and a known y-part means an earlier word ends in the same w[a:]; its
+    mirror image, the x-scan, walks needle ends right to left over suffix
+    stems, and a known x-part whose needle ends at e means an earlier word
+    starts with w[:e], so every x-needle ending by e is known.
     On `check reg` closures index lookups fall 63%, part probes 77% (README).
     `parts[side][class]` is a class's part dict; with `keep_hits` a part's
     value is its (word, offset) sources, the first-indexed one of its
@@ -310,16 +313,17 @@ class _Engine:
     def add_words(self, new: Iterable[Packed]) -> Deltas:
         """Index new words; returns the new parts of each class they touch, per side."""
         deltas: Deltas = ({}, {})
-        if len(self.index) == 2:  # one index per side: the split scan
-            self._add_split(new, deltas)
-            return deltas
-        (index,), (sizes,), keep_hits = self.index, self.sizes, self.keep_hits
+        index, sizes, keep_hits = self.index[-1], self.sizes[-1], self.keep_hits
+        xindex, xsizes = self.index[0], self.sizes[0]
+        split = len(self.index) == 2  # the forward scan reads y-needles alone
         for w in new:
             factors = None  # w's factors of context lengths, built on first need
-            n = len(w)
+            n = m = len(w)  # needles end by m; 0 ends the scan
             for a in range(n):
+                if not m:
+                    break
                 for size in sizes:
-                    if a + size > n:
+                    if a + size > m:
                         break
                     entries = index.get(w[a : a + size])
                     if entries is None:  # no needle starts with w[a : a + size]
@@ -334,53 +338,34 @@ class _Engine:
                         if part not in known:
                             known[part] = [] if keep_hits else None
                             deltas[side].setdefault(c, {}).setdefault(len(part), []).append(part)
+                        elif split:  # an earlier word ends in w[a:]: all later y-parts are known
+                            m = 0
+                            break
                         if keep_hits:  # the shortlex-least source stays first
                             sources = known[part]
                             sources.append((w, a))
                             if shortlex_key(w) < shortlex_key(sources[0][0]):
                                 sources[0], sources[-1] = sources[-1], sources[0]
-        return deltas
-
-    def _add_split(self, new: Iterable[Packed], deltas: Deltas) -> None:
-        """add_words by the split scan: each side's ends where known parts take over."""
-        (xindex, yindex), (xsizes, ysizes) = self.index, self.sizes
-        longest = xsizes[-1] if xsizes else 0
-        for w in new:
-            n, a, e = len(w), 0, 0
-            while a < n:  # y-parts left to right: from the first known one on, all are known
-                for size in ysizes:
-                    if a + size > n:
+            if split:  # the x-scan: x-parts by needle end, right to left
+                b = 0  # needles start at b or later; n ends the scan
+                for e in range(n, 0, -1):
+                    if b:
                         break
-                    entries = yindex.get(w[a : a + size])
-                    if entries is None:  # no needle starts with w[a : a + size]
-                        break
-                    part = w[a + size :]
-                    for _, c, _, _, known in entries:
-                        if part in known:
-                            a = n  # ends the scan
+                    for size in xsizes:
+                        a = e - size
+                        if a < b:
                             break
-                        known[part] = None
-                        deltas[1].setdefault(c, {}).setdefault(len(part), []).append(part)
-                a += 1
-            for a in range(n - 1, -1, -1):  # x-parts right to left, known where needles end <= e
-                if a + longest <= e:  # no x-needle from here on ends past e
-                    break
-                for size in xsizes:
-                    end = a + size
-                    if end > n:
-                        break
-                    if end <= e:
-                        continue
-                    entries = xindex.get(w[a:end])
-                    if entries is None:
-                        break
-                    for _, c, cut, _, known in entries:
-                        part = w[: a + cut]
-                        if part in known:
-                            e = end
-                        else:
+                        entries = xindex.get(w[a:e])
+                        if entries is None:  # no x-needle ends with w[a:e]
+                            break
+                        for _, c, cut, _, known in entries:
+                            part = w[: a + cut]
+                            if part in known:  # an earlier word starts with w[:e]: all needles
+                                b = n  # ending by e are known
+                                break
                             known[part] = None
                             deltas[0].setdefault(c, {}).setdefault(len(part), []).append(part)
+        return deltas
 
     def run(self, deltas: Deltas, max_len: int | None) -> tuple[set[Packed], bool]:
         """New prefixes x all suffixes plus old prefixes x new suffixes, per split.

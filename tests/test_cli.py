@@ -392,9 +392,11 @@ def test_usage_error_exit_code(capsys):
         pytest.param(
             "{S}({a,b}{S})*({a,b}{#}|{#}{#})",
             "(" * 5000 + "{S}" + ")" * 5000,
-            "pattern nests parentheses and stars deeper than 100",
+            "line 12: pattern nests parentheses and stars deeper than 100",
             id="deep-filter",
         ),
+        pytest.param("{S}({a,b}{S})*({a,b}{#}|{#}{#})", "{S}(",
+                     "line 12: unexpected token None in pattern", id="bad-filter"),
         # A second filter, coding or header line is an error, not a silent override.
         pytest.param(
             "{S}({a,b}{S})*({a,b}{#}|{#}{#})",
@@ -405,7 +407,10 @@ def test_usage_error_exit_code(capsys):
         pytest.param("S -> @", "S -> @\nS -> a", "line 16: symbol 'S' is coded twice",
                      id="second-coding"),
         pytest.param("n1 1", "n1 1\nn1 2", "line 3: repeated header line 'n1'", id="second-n1"),
-        ("a S b", "a q b", "template symbol 'q' is outside the system alphabet"),
+        pytest.param("a S b", "a q b", "line 10: template symbol 'q' is outside the system alphabet",
+                     id="template-outside"),
+        pytest.param("S b #", "S q #", "line 7: word 'S q #' uses symbol 'q' outside the alphabet",
+                     id="base-outside"),
         # END ends a dump: it must be there, and only blank lines may follow it.
         pytest.param("END", "", "dump is cut off: no END line", id="no-end"),
         pytest.param("END", "END\na S q", "line 24: unexpected line after END: 'a S q'",
@@ -479,6 +484,11 @@ def test_closure_bad_ctgr_template_is_usage_error(capsys, tmp_path, template, me
             "max_set_size -3 is smaller than the 2 initial words",
         ),
         (("closure", "DUMP", "--max-set-size", 1), "max_set_size 1 is smaller than the 2"),
+        (("trace", "reg", DATA / "astar_b.grammar"), "trace reg needs --target"),
+        (
+            ("trace", "reg", DATA / "astar_b.grammar", "--target", ""),
+            "blank word text: the empty word is spelled '@'",
+        ),
     ],
 )
 def test_bad_cap_is_usage_error(capsys, tmp_path, argv, message):

@@ -416,17 +416,20 @@ def results_by_definition(x, y, tp):
 
 
 def test_closure_with_needle_lengths_two_and_four():
-    # Needles have lengths 2 and 4 only, and the y-needle "b b b b" starts with
-    # "b b", which is no needle: the scan at a position must go on past a factor
-    # that is no needle while it still starts a longer one.
+    # Needles have lengths 2 and 4 only.  The y-needle "b b b b" starts with
+    # "b b" and the x-needle "a b b a" ends with "b a", neither a needle: the
+    # forward scan at a start, and the x-scan at an end, must go on past a
+    # factor that is no needle while it is still part of a longer one.
     syms = ["a", "b"]
     short, long = pc_template("@", "a b a", "@"), pc_template("b b", "a b b", "b a")
     sys, short_only = pc_system([short, long], syms), pc_system([short], syms)
     engine = _Engine(sys)
     assert engine.sizes == ((2, 4), (2, 4))  # each side's own index: no contexts, no kept hits
-    # "b b" is a key of the y-index only as a stem of "b b b b", with no entries
-    yindex = engine.index[1]
+    # a stem is a key with no entries: the y-index stems are needle prefixes,
+    # the x-index stems needle suffixes, as the x-scan reads needles by their end
+    xindex, yindex = engine.index
     assert sys.pack(word("b b b b")) in yindex and not yindex.get(sys.pack(word("b b")))
+    assert sys.pack(word("a b b a")) in xindex and xindex.get(sys.pack(word("b a"))) == []
     rng = random.Random(2424)
     fired = 0
     for _ in range(60):
@@ -448,13 +451,14 @@ def test_closure_with_needle_lengths_two_and_four():
 
 
 def test_closure_prefix_scan_goes_past_a_known_part():
-    # No contexts, so each side is scanned on its own and the x-scan, right to
-    # left, skips only the x-needles ending where a known part's needle ends.
-    # Round 1 makes "c a b c" from "c a b a" and "b c".  In round 2 its x-part
-    # "c a b" under the needle "a b" (ending at 3) is known from "c a b a", but
-    # the needle "c a b c" (x-part "c a b" through the overhang d1 = "c") ends
-    # at 4: that part is new, and its split (c a, b, b) with "b b a" makes
-    # "c a b b a".  An x-scan ending at the first known part misses it.
+    # No contexts, so each side is scanned on its own, and the x-scan walks
+    # needle ends right to left, ending at the first known part.  Round 1
+    # makes "c a b c" from "c a b a" and "b c".  In round 2 the needle
+    # "c a b c" (x-part "c a b" through the overhang d1 = "c") ends at 4: that
+    # part is new, and its split (c a, b, b) with "b b a" makes "c a b b a".
+    # The needle "a b", whose x-part "c a b" is known from "c a b a", starts
+    # later but ends earlier, at 3, so a scan by needle start, right to left
+    # and ending at the first known part, misses the new one.
     syms = ["a", "b", "c"]
     sys = pc_system([pc_template("@", "a b a", "@"), pc_template("@", "a b c", "@"),
                      pc_template("@", "c a b b", "c")], syms)

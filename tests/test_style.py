@@ -25,14 +25,15 @@ def test_source_lines_fit_in_100_characters():
 
 
 def test_private_names_are_used():
-    # A module-level _name that no code in src/ refers to is dead code.
+    # A _name that no code in src/ reads is dead code: a module-level one, a
+    # class's method or an attribute its methods set on self.
     trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in SRC.glob("*.py")}
     used = set()
     for tree in trees.values():
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 used.add(node.id)
-            elif isinstance(node, ast.Attribute):
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 used.add(node.attr)
             elif isinstance(node, ast.ImportFrom):
                 used.update(alias.name for alias in node.names)
@@ -44,6 +45,12 @@ def test_private_names_are_used():
             elif isinstance(node, (ast.Assign, ast.AnnAssign)):
                 targets = node.targets if isinstance(node, ast.Assign) else [node.target]
                 defined += [(name, t.id) for t in targets if isinstance(t, ast.Name)]
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef):
+                defined += [(name, f.name) for f in cls.body if isinstance(f, ast.FunctionDef)]
+                defined += [(name, a.attr) for a in ast.walk(cls)
+                            if isinstance(a, ast.Attribute) and isinstance(a.ctx, ast.Store)
+                            and isinstance(a.value, ast.Name) and a.value.id == "self"]
     unused = [f"{path}:{n}" for path, n in defined
               if n.startswith("_") and not n.startswith("__") and n not in used]
     assert not unused

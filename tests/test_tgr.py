@@ -460,8 +460,9 @@ def test_engine_plan_lists_each_templates_splits_in_order(kind):
 ])
 def test_engine_scans_each_side_alone_without_kept_hits_or_contexts(kind, keep_hits, sides, sizes):
     # Without kept hits or contexts each side has its own needle index, with its
-    # own needle lengths and stems, for the split scan; otherwise one index holds
-    # both sides' needles for the combined scan.  "a b a" with d1 = "c c" has the
+    # own needle lengths and stems: the forward scan reads the y-index, and the
+    # x-scan the x-index by needle end.  Otherwise one index holds both sides'
+    # needles for the forward scan alone.  "a b a" with d1 = "c c" has the
     # x-needle "a b c c" and the y-needle "b a", so only a combined index has the
     # stem "a b".
     overhang = pc_template("@", "a b a", "c c")
@@ -475,6 +476,33 @@ def test_engine_scans_each_side_alone_without_kept_hits_or_contexts(kind, keep_h
     assert engine.sizes == sizes
     stems = [f for index in engine.index for f, entries in index.items() if not entries]
     assert stems == ([sys.pack(word("a b"))] if sizes == ((2, 4),) else [])
+
+
+def test_engine_split_scans_end_at_the_first_known_part():
+    # Every part of every word indexed before is recorded, so each scan of a
+    # plain closure ends at its first known part.  With the template "a b a",
+    # "a b" is the x-needle and "b a" the y-needle.  After "a b a b a",
+    # "b b a b a" has the known y-part "b a" after the needle at 1, and
+    # "a b a b b" the known x-part "a b a b" before the needle ending at 4.
+    sys = system({word("a b a")}, "ab")
+    engine = tgr._Engine(sys)
+    log = []
+
+    class Logged(dict):
+        def get(self, key, default=None):
+            log.append(" ".join(sys.unpack(key)))
+            return super().get(key, default)
+
+    engine.index = tuple(map(Logged, engine.index))
+    scans = []
+    for w in ("a b a b a", "b b a b a", "a b a b b"):
+        engine.add_words([sys.pack(word(w))])
+        scans.append(log[:])
+        log.clear()
+    # the forward scan reads the y-needles by start, the x-scan x-needles by end
+    assert scans == [["a b", "b a", "a b", "b a", "b a", "a b", "b a", "a b"],
+                     ["b b", "b a", "b a", "a b", "b a", "b b"],
+                     ["a b", "b a", "a b", "b b", "b b", "a b"]]
 
 
 def test_derivation_trace_gives_none_for_a_target_over_max_len_before_any_round(monkeypatch):
