@@ -31,7 +31,6 @@ from .words import (
     Word,
     check_symbol,
     occurrences,
-    shortlex_key,
     sort_words,
     word_text,
 )
@@ -344,7 +343,7 @@ class _Engine:
                         if keep_hits:  # the shortlex-least source stays first
                             sources = known[part]
                             sources.append((w, a))
-                            if shortlex_key(w) < shortlex_key(sources[0][0]):
+                            if (len(w), w) < (len(sources[0][0]), sources[0][0]):
                                 sources[0], sources[-1] = sources[-1], sources[0]
             if split:  # the x-scan: x-parts by needle end, right to left
                 b = 0  # needles start at b or later; n ends the scan
@@ -496,9 +495,11 @@ def derivation_trace(
     it first appears in, by shortlex x, shortlex y, template order, pos_x,
     pos_y, |beta| and |alpha|.  A split fixes the template and its parts, and
     a prefix or suffix fixes its word's offset, so per kept pair that is the
-    least x source with the least y source.  Words already in `initial` get
-    an empty trace; unreachable targets (within the caps, so any longer than
-    max_len) give None, and a target symbol outside the alphabet raises ValueError.
+    least x source with the least y source.  Pairs are compared by key tuples,
+    as packed words order as their tuples do, and only the returned trace's
+    events are built.  Words already in `initial` get an empty trace;
+    unreachable targets (within the caps, so any longer than max_len) give
+    None, and a target symbol outside the alphabet raises ValueError.
     """
     _check_caps(initial, max_len, max_rounds, max_set_size)
     for sym in target:
@@ -508,25 +509,22 @@ def derivation_trace(
         return ()
     if len(target) > max_len:
         return None
-    rank = {t: i for i, t in enumerate(sys.templates)}
-
-    def key(ev: RecombinationEvent):  # packed words order as their tuples do
-        return (shortlex_key(ev.x), shortlex_key(ev.y), rank[ev.template],
-                ev.pos_x, ev.pos_y, len(ev.beta), len(ev.alpha))
-
     engine = _Engine(sys, keep_hits=True)
-    found: dict[Packed, tuple[int, RecombinationEvent]] = {}  # word -> (round, event)
+    plan, (xcls, ycls), (xparts, yparts) = engine.plan, engine.classes, engine.parts
+    rank = {t: i for i, t in enumerate(sys.templates)}
+    ranks = [rank[t] for t, *_ in plan]
+    found: dict[Packed, tuple[int, tuple, int]] = {}  # word -> (round, key, split id)
     words, target = set(map(sys.pack, initial.words)), sys.pack(target)
     for r, new, _ in _rounds(engine, words, max_len, max_rounds, max_set_size):
-        best: dict[Packed, RecombinationEvent] = {}
+        best: dict[Packed, tuple[tuple, int]] = {}  # word -> (key, split id)
         for i, p, s in engine.pairs:
-            w = p + engine.plan[i][3] + s
+            w = p + plan[i][3] + s
             if w in new:
-                xc, yc = engine.classes[0][i], engine.classes[1][i]
-                ev = _event(engine.plan[i], *engine.parts[0][xc][p][0], *engine.parts[1][yc][s][0])
-                if w not in best or key(ev) < key(best[w]):
-                    best[w] = ev
-        found.update((w, (r, ev)) for w, ev in best.items())
+                (x, ox), (y, oy) = xparts[xcls[i]][p][0], yparts[ycls[i]][s][0]
+                k = (len(x), x, len(y), y, ranks[i], ox, oy, len(plan[i][2]), len(plan[i][1]))
+                if w not in best or k < best[w][0]:
+                    best[w] = k, i
+        found.update((w, (r, k, i)) for w, (k, i) in best.items())
         if target in new:
             break
     if target not in words:
@@ -538,6 +536,7 @@ def derivation_trace(
         w = stack.pop()
         if w not in found or w in needed:  # every word not found is an initial one
             continue
-        ev = needed[w] = found[w][1]
-        stack.extend((ev.x, ev.y))
+        _, (_, x, _, y, _, ox, oy, *_), i = found[w]
+        needed[w] = _event(plan[i], x, ox, y, oy)
+        stack.extend((x, y))
     return tuple(_unpacked(sys, needed[w]) for w in sorted(needed, key=lambda w: (found[w][0], w)))

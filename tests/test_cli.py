@@ -384,11 +384,19 @@ def test_usage_error_exit_code(capsys):
 @pytest.mark.parametrize(
     "old, new, message",
     [
-        ("n1 1", "n1 x", "line 2: n1 must be a positive integer"),
-        ("n1 1", "n1 0", "line 2: n1 must be a positive integer"),
-        ("S -> @", "S ->", "bad coding line 'S ->'"),
-        ("tgrkit-dump tgr", "tgrkit-dump ", "unknown dump kind ''"),
-        ("tgrkit-dump tgr", "tgrkit-dump tgr junk more", "unknown dump kind 'tgr junk more'"),
+        # Every row names itself, so editing a message or inserting a row renames no test;
+        # the first rows keep the names pytest once built from their values.
+        pytest.param("n1 1", "n1 x", "line 2: n1 must be a positive integer",
+                     id="n1 1-n1 x-line 2: n1 must be a positive integer"),
+        pytest.param("n1 1", "n1 0", "line 2: n1 must be a positive integer",
+                     id="n1 1-n1 0-line 2: n1 must be a positive integer"),
+        pytest.param("S -> @", "S ->", "bad coding line 'S ->'",
+                     id="S -> @-S ->-bad coding line 'S ->'"),
+        pytest.param("tgrkit-dump tgr", "tgrkit-dump ", "unknown dump kind ''",
+                     id="tgrkit-dump tgr-tgrkit-dump -unknown dump kind ''"),
+        pytest.param("tgrkit-dump tgr", "tgrkit-dump tgr junk more",
+                     "unknown dump kind 'tgr junk more'",
+                     id="tgrkit-dump tgr-tgrkit-dump tgr junk more-unknown dump kind 'tgr junk more'"),
         pytest.param(
             "{S}({a,b}{S})*({a,b}{#}|{#}{#})",
             "(" * 5000 + "{S}" + ")" * 5000,
@@ -443,9 +451,15 @@ def ctgr_dump(*templates):
 @pytest.mark.parametrize(
     "template, message",
     [
-        ("Z a b c # u $ X $", "line 9: not a tau word: 'Z a b c # u $ X $'"),
-        ("Z # a b c # u $ X $ q", "template symbol 'q' is outside the system alphabet"),
-        ("Z # a b c # q $ X $", "template symbol 'q' is outside the system alphabet"),
+        # Named as pytest once built the names from the values, before the line numbers.
+        pytest.param("Z a b c # u $ X $", "line 9: not a tau word: 'Z a b c # u $ X $'",
+                     id="Z a b c # u $ X $-line 9: not a tau word: 'Z a b c # u $ X $'"),
+        pytest.param("Z # a b c # u $ X $ q",
+                     "line 9: template symbol 'q' is outside the system alphabet",
+                     id="Z # a b c # u $ X $ q-template symbol 'q' is outside the system alphabet"),
+        pytest.param("Z # a b c # q $ X $",
+                     "line 9: template symbol 'q' is outside the system alphabet",
+                     id="Z # a b c # q $ X $-template symbol 'q' is outside the system alphabet"),
     ],
 )
 def test_closure_bad_ctgr_template_is_usage_error(capsys, tmp_path, template, message):
@@ -456,38 +470,51 @@ def test_closure_bad_ctgr_template_is_usage_error(capsys, tmp_path, template, me
     assert message in err and len(err.strip().splitlines()) == 1
 
 
+# Rows keep the names pytest once built from their positions and messages.
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (("check", "reg", DATA / "astar_b.grammar", "--k", -1), "nonnegative"),
-        (("closure", "DUMP", "--max-rounds", -1), "max_rounds must be nonnegative"),
-        (("closure", "DUMP", "--max-len", 2), "max_len is smaller than the longest initial word"),
-        (
+        pytest.param(("check", "reg", DATA / "astar_b.grammar", "--k", -1), "nonnegative",
+                     id="argv0-nonnegative"),
+        pytest.param(("closure", "DUMP", "--max-rounds", -1), "max_rounds must be nonnegative",
+                     id="argv1-max_rounds must be nonnegative"),
+        pytest.param(("closure", "DUMP", "--max-len", 2),
+                     "max_len is smaller than the longest initial word",
+                     id="argv2-max_len is smaller than the longest initial word"),
+        pytest.param(
             ("trace", "reg", DATA / "astar_b.grammar", "--target", "S a S b #", "--max-len", 2),
             "max_len is smaller than the longest initial word",
+            id="argv3-max_len is smaller than the longest initial word",
         ),
-        (
+        pytest.param(
             ("trace", "reg", DATA / "astar_b.grammar", "--target", "S a S b #",
              "--max-rounds", -1),
             "max_rounds must be nonnegative",
+            id="argv4-max_rounds must be nonnegative",
         ),
-        (
+        pytest.param(
             ("check", "re", DATA / "anbn.kuroda", "--k", -1, "--max-len", 10, "--max-rounds", 4),
             "length bound must be nonnegative",
+            id="argv5-length bound must be nonnegative",
         ),
-        (
+        pytest.param(
             ("trace", "reg", DATA / "astar_b.grammar", "--target", "S q #"),
             "target symbol 'q' is outside the system alphabet",
+            id="argv6-target symbol 'q' is outside the system alphabet",
         ),
-        (
+        pytest.param(
             ("check", "reg", DATA / "astar_b.grammar", "--max-set-size", -3),
             "max_set_size -3 is smaller than the 2 initial words",
+            id="argv7-max_set_size -3 is smaller than the 2 initial words",
         ),
-        (("closure", "DUMP", "--max-set-size", 1), "max_set_size 1 is smaller than the 2"),
-        (("trace", "reg", DATA / "astar_b.grammar"), "trace reg needs --target"),
-        (
+        pytest.param(("closure", "DUMP", "--max-set-size", 1), "max_set_size 1 is smaller than the 2",
+                     id="argv8-max_set_size 1 is smaller than the 2"),
+        pytest.param(("trace", "reg", DATA / "astar_b.grammar"), "trace reg needs --target",
+                     id="argv9-trace reg needs --target"),
+        pytest.param(
             ("trace", "reg", DATA / "astar_b.grammar", "--target", ""),
             "blank word text: the empty word is spelled '@'",
+            id="argv10-blank word text: the empty word is spelled '@'",
         ),
     ],
 )

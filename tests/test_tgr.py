@@ -21,9 +21,11 @@ from tgrkit import (
     word,
 )
 from tgrkit.errors import FormatError, ResourceLimitError
+from tgrkit.regcompile import compile_regular
 from tgrkit.tgr import InertTemplateWarning
 from tgrkit.words import make_alphabet, shortlex_key
 
+from conftest import load_grammar
 from test_ctgr import PC_TEMPLATES, pc_system, pc_template, random_pc_templates
 
 
@@ -306,6 +308,34 @@ def test_derivation_trace_prefers_shortlex_least_x_then_y():
     (ev,) = trace
     assert (ev.x, ev.y, ev.template) == (word("S a S"), word("X S b #"), word("a S b"))
     assert (ev.pos_x, ev.pos_y) == (1, 1)
+
+
+@pytest.mark.parametrize("case", ["four-pairs", "ends_ab"])
+def test_derivation_trace_builds_events_only_for_its_trace(monkeypatch, case):
+    # Candidate pairs are compared by key; only the returned trace's words get
+    # an event, one packed and one unpacked.  The ends_ab trace has 7 events
+    # among thousands of candidate pairs.
+    built = []
+
+    class Counted(tgr.RecombinationEvent):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(tgr, "RecombinationEvent", Counted)
+    if case == "four-pairs":  # the system of test_derivation_trace_prefers_shortlex_least_x_then_y
+        sys = system({word("a S b"), word("S b #")}, SIGMA)
+        start = lang(
+            {word("S a S"), word("S a S b c"), word("b #"), word("X S b #"), word("Y S b #")},
+            SIGMA,
+        )
+        trace = derivation_trace(sys, start, word("S a S b #"), 9, 3)
+    else:
+        cr = compile_regular(load_grammar("ends_ab.grammar"))
+        target = word("S a S b S a S b S a S a S b S a A b #")
+        trace = derivation_trace(cr.system, cr.base, target, 19, 64)
+    assert trace is not None and len(trace) == (1 if case == "four-pairs" else 7)
+    assert len(built) <= 2 * len(trace)
 
 
 def naive_closure(templates, words, max_len, max_rounds, n1=1, n2=1):
