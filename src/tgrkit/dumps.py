@@ -93,65 +93,55 @@ def load_dump(text: str) -> LoadedDump:
         # legitimately start with a "#" symbol (codings, tau words).
         if section is None and raw.startswith("# "):
             continue
-        if section == "END":
-            raise FormatError(f"unexpected line after END: {line!r}", line=lineno)
-        if line in SECTIONS or line == "END":
-            section = line
-            continue
-        if section is None:
-            key, _, rest = line.partition(" ")
-            if key in header:
-                raise FormatError(f"repeated header line {key!r}", line=lineno)
-            if key in ("n1", "n2"):
-                if not rest.isdecimal() or int(rest) < 1:
-                    msg = f"{key} must be a positive integer, got {rest!r}"
-                    raise FormatError(msg, line=lineno)
-                header[key] = int(rest)
-            elif key == "alphabet":
-                try:
+        try:
+            if section == "END":
+                raise FormatError(f"unexpected line after END: {line!r}")
+            if line in SECTIONS or line == "END":
+                section = line
+                continue
+            if section is None:
+                key, _, rest = line.partition(" ")
+                if key in header:
+                    raise FormatError(f"repeated header line {key!r}")
+                if key in ("n1", "n2"):
+                    if not rest.isdecimal() or int(rest) < 1:
+                        raise FormatError(f"{key} must be a positive integer, got {rest!r}")
+                    header[key] = int(rest)
+                elif key == "alphabet":
                     header[key] = alphabet = make_alphabet(rest.split())
-                except FormatError as exc:
-                    raise FormatError(str(exc), line=lineno) from None
-                template_symbols = alphabet | SYSTEMS[kind].reserved
-            else:
-                raise FormatError(f"unexpected header line {line!r}", line=lineno)
-        elif section == "BASE":
-            w = word(line)
-            if alphabet is not None and not alphabet.issuperset(w):
-                sym = next(s for s in w if s not in alphabet)
-                msg = f"word {word_text(w)!r} uses symbol {sym!r} outside the alphabet"
-                raise FormatError(msg, line=lineno)
-            base_words.add(w)
-        elif section == "TEMPLATES":
-            w = word(line)
-            if template_symbols is not None and not template_symbols.issuperset(w):
-                sym = next(s for s in w if s not in template_symbols)
-                msg = f"template symbol {sym!r} is outside the system alphabet"
-                raise FormatError(msg, line=lineno)
-            try:
+                    template_symbols = alphabet | SYSTEMS[kind].reserved
+                else:
+                    raise FormatError(f"unexpected header line {line!r}")
+            elif section == "BASE":
+                w = word(line)
+                if alphabet is not None and not alphabet.issuperset(w):
+                    sym = next(s for s in w if s not in alphabet)
+                    msg = f"word {word_text(w)!r} uses symbol {sym!r} outside the alphabet"
+                    raise FormatError(msg)
+                base_words.add(w)
+            elif section == "TEMPLATES":
+                w = word(line)
+                if template_symbols is not None and not template_symbols.issuperset(w):
+                    sym = next(s for s in w if s not in template_symbols)
+                    raise FormatError(f"template symbol {sym!r} is outside the system alphabet")
                 templates.append(parse_tau(w, context_sets) if kind == "ctgr" else w)
-            except FormatError as exc:
-                raise FormatError(str(exc), line=lineno) from None
-        elif section == "FILTER":
-            if filter_ is not None:
-                raise FormatError("FILTER holds one pattern line, found a second", line=lineno)
-            try:
+            elif section == "FILTER":
+                if filter_ is not None:
+                    raise FormatError("FILTER holds one pattern line, found a second")
                 filter_ = parse_pattern(line)
-            except FormatError as exc:
-                raise FormatError(str(exc), line=lineno) from None
-        elif section == "CODING":
-            fields = line.split()
-            if len(fields) != 3 or fields[1] != "->":
-                msg = f"bad coding line {line!r}: expected 'sym -> image'"
-                raise FormatError(msg, line=lineno)
-            sym, _arrow, image = fields
-            if sym in coding_map:
-                raise FormatError(f"symbol {sym!r} is coded twice", line=lineno)
-            if alphabet is not None and sym not in alphabet:
-                raise FormatError(f"coding symbol {sym!r} is outside the alphabet", line=lineno)
-            coding_map[sym] = None if image == "@" else image
-        elif section == "PROVENANCE":
-            pass  # informational only
+            elif section == "CODING":
+                fields = line.split()
+                if len(fields) != 3 or fields[1] != "->":
+                    raise FormatError(f"bad coding line {line!r}: expected 'sym -> image'")
+                sym, _arrow, image = fields
+                if sym in coding_map:
+                    raise FormatError(f"symbol {sym!r} is coded twice")
+                if alphabet is not None and sym not in alphabet:
+                    raise FormatError(f"coding symbol {sym!r} is outside the alphabet")
+                coding_map[sym] = None if image == "@" else image
+            # PROVENANCE lines are informational only: no branch reads them.
+        except FormatError as exc:
+            raise FormatError(str(exc), line=lineno) from None
 
     header.pop("alphabet", None)
     if alphabet is None:

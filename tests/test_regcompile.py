@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import random
+import warnings
 
 import pytest
 
@@ -21,11 +22,12 @@ from tgrkit import (
     word,
 )
 from tgrkit import regcompile
-from tgrkit.dumps import dump_text
+from tgrkit.dumps import SECTIONS, dump_text
 from tgrkit.grammars import Rule
+from tgrkit.tgr import InertTemplateWarning
 from tgrkit.words import make_alphabet
 
-from conftest import load_grammar, random_regular_grammar
+from conftest import DATA, TEXT_SYMBOLS, load_grammar, random_regular_grammar
 
 CORPUS = [
     "astar_b.grammar",
@@ -194,3 +196,38 @@ def test_dump_round_trip(name):
     assert loaded.coding.mapping == dict(cr.coding.mapping)
     for w in [word("S a S b #"), word("S b"), word("S # #"), *cr.base]:
         assert matches(loaded.filter, w) == matches(cr.filter, w)
+
+
+# Errors about the whole dump name no line: every other dump error names the line it was read on.
+WHOLE_DUMP_ERRORS = (
+    "not a tgrkit dump (missing 'tgrkit-dump' header)",
+    "unknown dump kind ",
+    "dump is missing the 'alphabet' header line",
+    "dump is cut off: no END line",
+)
+LINE_EDITS = [*TEXT_SYMBOLS, *SECTIONS, "END", "n1 0", "alphabet a #", "{", "a -> b c"]
+
+
+@pytest.mark.parametrize("source", ["ends_ab.grammar", "contexts.ctgr"])
+def test_every_single_line_edit_of_a_dump_loads_or_names_its_fault(source):
+    if source.endswith(".grammar"):
+        text = dump_text(compile_regular(load_grammar(source)))
+    else:
+        text = (DATA / source).read_text()
+    lines = text.splitlines()
+    for i in range(len(lines)):
+        for new in LINE_EDITS:
+            edited = "\n".join([*lines[:i], new, *lines[i + 1:]]) + "\n"
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", InertTemplateWarning)
+                    load_dump(edited)
+            except FormatError as exc:
+                msg = str(exc)
+                if exc.line is None:
+                    assert msg.startswith(WHOLE_DUMP_ERRORS), (i + 1, new, msg)
+                else:
+                    assert 2 <= exc.line <= len(lines), (i + 1, new, msg)
+                    assert msg.startswith(f"line {exc.line}: "), (i + 1, new, msg)
+            except ValueError as exc:  # the alphabet holds a symbol its kind's templates reserve
+                assert str(exc).startswith("system alphabet contains symbols that"), (i + 1, new)
