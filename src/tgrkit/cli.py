@@ -79,14 +79,14 @@ def cmd_closure(args) -> int:
             f"fixpoint {str(result.reached_fixpoint).lower()}",
             f"truncated {str(result.truncated_by_length).lower()}",
         ]
-        out += [f"word {word_text(w)}" for w in result.language]
+        out += [f"word {word_text(w)}" for w in result.words()]
     else:
         out = [
-            f"closure of {len(base)} base word(s): {len(result.language)} words, "
+            f"closure of {len(base)} base word(s): {len(result.packed)} words, "
             f"rounds: {result.rounds_used}, fixpoint: {result.reached_fixpoint}, "
             f"truncated: {result.truncated_by_length}"
         ]
-        out += ["  " + word_text(w) for w in result.language]
+        out += ["  " + word_text(w) for w in result.words()]
     _emit(args, "\n".join(out) + "\n")
     return EXIT_OK
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Iterator
 
 from .errors import FormatError
@@ -43,23 +43,23 @@ class _Grammar:
         overlap = self.nonterminals & self.terminals
         if overlap:
             raise FormatError(f"nonterminals and terminals overlap: {sorted(overlap)}")
-        symbols = make_alphabet(self.nonterminals | self.terminals)
-        if "->" in symbols:
-            raise FormatError("bad symbol token '->': it separates a rule's sides")
+        _symbols(self.nonterminals | self.terminals)
         if self.start not in self.nonterminals:
             raise FormatError(f"start symbol {self.start!r} is not a declared nonterminal")
         for r in self.rules:
-            for sym in r.lhs + r.rhs:
-                if sym not in symbols:
-                    raise FormatError(f"rule {r.text()!r} uses undeclared symbol {sym!r}")
-        for r in self.rules:
-            self._check_rule(r)
+            self._check(r)
         rules = tuple(sorted(set(self.rules)))
         object.__setattr__(self, "rules", rules)
         by_head: dict[str, list[Rule]] = {}
         for r in rules:
             by_head.setdefault(r.lhs[0], []).append(r)
         object.__setattr__(self, "_by_head", by_head)
+
+    def _check(self, r: Rule) -> None:
+        for sym in r.lhs + r.rhs:
+            if sym not in self.nonterminals and sym not in self.terminals:
+                raise FormatError(f"rule {r.text()!r} uses undeclared symbol {sym!r}")
+        self._check_rule(r)
 
 
 class RegularGrammar(_Grammar):
@@ -105,63 +105,77 @@ class KurodaGrammar(_Grammar):
 Grammar = RegularGrammar | KurodaGrammar
 
 
+def _symbols(tokens: Iterable[str]) -> Alphabet:
+    symbols = make_alphabet(tokens)
+    if "->" in symbols:
+        raise FormatError("bad symbol token '->': it separates a rule's sides")
+    return symbols
+
+
 def parse_grammar(text: str) -> Grammar:
     """Parse the line-oriented grammar file format.
 
     Layout: a "type regular|kuroda" line, then "nonterminals ...",
     "terminals ...", "start ..." and one "rule LHS -> RHS" per line.
     "@" spells the empty right side.  Lines starting with "# " are comments.
+    An error tied to one line names it; only errors about the whole file do not.
     """
     kind: str | None = None
-    nonterminals: list[str] = []
-    terminals: list[str] = []
+    declared: dict[str, list[str]] = {"nonterminals": [], "terminals": []}
     start: str | None = None
-    rules: list[Rule] = []
+    rules: list[tuple[Rule, int]] = []  # with the line each was read on
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or raw.startswith("# "):
             continue
-        fields = line.split()
-        key = fields[0]
-        if key == "type":
-            if len(fields) != 2 or fields[1] not in (REGULAR, KURODA):
-                raise FormatError("expected 'type regular' or 'type kuroda'", line=lineno)
-            if kind is not None:
-                raise FormatError("duplicate 'type' line", line=lineno)
-            kind = fields[1]
-        elif key == "nonterminals":
-            nonterminals.extend(fields[1:])
-        elif key == "terminals":
-            terminals.extend(fields[1:])
-        elif key == "start":
-            if len(fields) != 2:
-                raise FormatError("expected 'start <symbol>'", line=lineno)
-            if start is not None:
-                raise FormatError("duplicate 'start' line", line=lineno)
-            start = fields[1]
-        elif key == "rule":
-            body = fields[1:]
-            if "->" not in body:
-                raise FormatError(f"rule is missing '->': {line!r}", line=lineno)
-            arrow = body.index("->")
-            lhs, rhs = body[:arrow], body[arrow + 1 :]
-            if not lhs or not rhs:
-                raise FormatError(f"rule needs both sides: {line!r}", line=lineno)
-            if rhs == ["@"]:
-                rhs = []
-            if lhs == ["@"]:
-                raise FormatError("rule left side may not be empty", line=lineno)
-            rules.append(Rule(tuple(lhs), tuple(rhs)))
-        else:
-            raise FormatError(f"unknown directive {key!r}", line=lineno)
+        try:
+            fields = line.split()
+            key = fields[0]
+            if key == "type":
+                if len(fields) != 2 or fields[1] not in (REGULAR, KURODA):
+                    raise FormatError("expected 'type regular' or 'type kuroda'")
+                if kind is not None:
+                    raise FormatError("duplicate 'type' line")
+                kind = fields[1]
+            elif key in declared:
+                declared[key].extend(_symbols(fields[1:]))
+            elif key == "start":
+                if len(fields) != 2:
+                    raise FormatError("expected 'start <symbol>'")
+                if start is not None:
+                    raise FormatError("duplicate 'start' line")
+                start = fields[1]
+            elif key == "rule":
+                body = fields[1:]
+                if "->" not in body:
+                    raise FormatError(f"rule is missing '->': {line!r}")
+                arrow = body.index("->")
+                lhs, rhs = body[:arrow], body[arrow + 1 :]
+                if not lhs or not rhs:
+                    raise FormatError(f"rule needs both sides: {line!r}")
+                if rhs == ["@"]:
+                    rhs = []
+                if lhs == ["@"]:
+                    raise FormatError("rule left side may not be empty")
+                rules.append((Rule(tuple(lhs), tuple(rhs)), lineno))
+            else:
+                raise FormatError(f"unknown directive {key!r}")
+        except FormatError as exc:
+            raise FormatError(str(exc), line=lineno) from None
 
     if kind is None:
         raise FormatError("missing 'type' line")
     if start is None:
         raise FormatError("missing 'start' line")
     cls = RegularGrammar if kind == REGULAR else KurodaGrammar
-    return cls(make_alphabet(nonterminals), make_alphabet(terminals), start, tuple(rules))
+    g = cls(frozenset(declared["nonterminals"]), frozenset(declared["terminals"]), start, ())
+    for r, lineno in rules:
+        try:
+            g._check(r)
+        except FormatError as exc:
+            raise FormatError(str(exc), line=lineno) from None
+    return replace(g, rules=tuple(r for r, _ in rules))
 
 
 def grammar_text(g: Grammar) -> str:

@@ -304,9 +304,7 @@ def pipeline_language_pc(
     if k < 0:
         raise ValueError(f"length bound must be nonnegative, got {k}")
     res = closure_pc(cr.system, cr.base, max_len, max_rounds, max_set_size)
-    decoded = {
-        cr.coding.apply(w) for w in res.language.words if matches(cr.filter, w)
-    }
+    decoded = {cr.coding.apply(w) for w in res.words(lambda w: matches(cr.filter, w))}
     out = frozenset(w for w in decoded if len(w) <= k)
     return FiniteLanguage(out, cr.grammar.terminals), res.reached_fixpoint
 

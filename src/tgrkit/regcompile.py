@@ -112,11 +112,7 @@ def pipeline_language(
     if k < 0:
         raise ValueError(f"length bound must be nonnegative, got {k}")
     res = closure(cr.system, cr.base, max_len, max_rounds, max_set_size)
-    decoded = {
-        cr.coding.apply(w)
-        for w in res.language.words
-        if matches(cr.filter, w)
-    }
+    decoded = {cr.coding.apply(w) for w in res.words(lambda w: matches(cr.filter, w))}
     out = frozenset(w for w in decoded if len(w) <= k)
     exhaustive = res.reached_fixpoint and max_len >= 2 * k + 3
     return FiniteLanguage(out, cr.grammar.terminals), exhaustive

@@ -22,7 +22,7 @@ import warnings
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Iterable, Iterator, TypeAlias
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, TypeAlias
 
 from .errors import ResourceLimitError
 from .words import (
@@ -418,10 +418,31 @@ def step_events(sys: System, language: FiniteLanguage) -> list[RecombinationEven
 
 @dataclass(frozen=True)
 class ClosureResult:
-    language: FiniteLanguage
+    """A bounded closure, its words kept packed over `system`'s alphabet and decoded when read.
+
+    `words` decodes only the words it yields; `language` decodes them all on
+    every read and keeps nothing, so a result never holds both forms.
+    """
+
+    system: System
+    packed: frozenset[Packed]
     rounds_used: int
     reached_fixpoint: bool
     truncated_by_length: bool
+
+    def words(self, keep: Callable[[Iterator[str]], bool] | None = None) -> Iterator[Word]:
+        """The words in shortlex order; with `keep`, only those whose symbols it accepts.
+
+        `keep` reads each word's symbols once, from an iterator; no word it
+        rejects is decoded.
+        """
+        symbols = self.system._symbols.__getitem__
+        kept = self.packed if keep is None else [w for w in self.packed if keep(map(symbols, w))]
+        return map(self.system.unpack, sort_words(kept))
+
+    @property
+    def language(self) -> FiniteLanguage:
+        return FiniteLanguage(frozenset(map(self.system.unpack, self.packed)), self.system.alphabet)
 
 
 def _check_caps(initial: FiniteLanguage, max_len: int, max_rounds: int, max_set_size: int) -> None:
@@ -476,8 +497,7 @@ def closure(
     r, fixpoint, truncated = 0, False, False
     for r, new, trunc in _rounds(_Engine(sys), words, max_len, max_rounds, max_set_size):
         fixpoint, truncated = not new, truncated or trunc
-    language = FiniteLanguage(frozenset(map(sys.unpack, words)), sys.alphabet)
-    return ClosureResult(language, r, fixpoint, truncated)
+    return ClosureResult(sys, frozenset(words), r, fixpoint, truncated)
 
 
 def derivation_trace(

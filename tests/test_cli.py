@@ -235,6 +235,7 @@ def test_re_output_digest_is_pinned(capsys, argv, digest):
 # SHA-256 of the output of `trace reg` and `closure`: the recombination engine
 # must produce the same bytes under optimisation.  A closure case names the kind
 # and grammar to compile, or a dump and its caps; each closure truncates at its caps.
+# A compiled case prints in `--format lines` unless it names a format.
 @pytest.mark.parametrize(
     "argv, digest",
     [
@@ -252,13 +253,19 @@ def test_re_output_digest_is_pinned(capsys, argv, digest):
         (("closure", DATA / "contexts.ctgr", "--max-len", 10, "--max-rounds", 5,
           "--format", "lines"),
          "9788a97e77f1c27df616469a3c8f1dfcd15fd3a2d37fd91597c92a3b9f90f8bb"),
+        (("closure", "reg", DATA / "ends_ab.grammar", "--format", "human"),
+         "132314d5bb11f9a4331dc0d4cc0fb9341d7bf17b21b113d271bd45c250ccadd1"),
+        (("closure", DATA / "contexts.ctgr", "--max-len", 10, "--max-rounds", 5,
+          "--format", "human"),
+         "75bfa4d78581f6309693d4c4bae0be56720bc235b19b8c4a5579247a327e5969"),
     ],
 )
 def test_engine_output_digest_is_pinned(capsys, tmp_path, argv, digest):
     if argv[0] == "closure" and argv[1] in ("reg", "re"):
         dump = tmp_path / "d"
         run(capsys, "compile", argv[1], argv[2], "--out", dump)
-        argv = ("closure", dump, "--max-len", 14, "--max-rounds", 28, "--format", "lines")
+        fmt = argv[3:] or ("--format", "lines")
+        argv = ("closure", dump, "--max-len", 14, "--max-rounds", 28, *fmt)
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest

@@ -19,7 +19,7 @@ from tgrkit import (
     word,
 )
 from tgrkit.grammars import Rule, derivation_steps
-from conftest import TEXT_SYMBOLS, load_grammar, random_regular_grammar
+from conftest import DATA, TEXT_SYMBOLS, load_grammar, random_regular_grammar
 
 
 def test_parse_regular_grammar(astar_b):
@@ -55,7 +55,7 @@ def test_parse_reports_line_numbers():
 
 def test_parse_rejects_undeclared_symbols():
     text = "type regular\nnonterminals S\nterminals a\nstart S\nrule S -> q S\n"
-    with pytest.raises(FormatError):
+    with pytest.raises(FormatError, match="line 5: rule 'S -> q S' uses undeclared symbol 'q'"):
         parse_grammar(text)
 
 
@@ -68,6 +68,42 @@ def test_parse_rejects_second_start_line():
     text = "type regular\nnonterminals S A\nterminals a\nstart S\nstart A\nrule A -> a\n"
     with pytest.raises(FormatError, match="line 5: duplicate 'start' line"):
         parse_grammar(text)
+
+
+# Errors about the whole grammar file name no line: every other parse error names a line.
+WHOLE_GRAMMAR_ERRORS = (
+    "missing 'type' line",
+    "missing 'start' line",
+    "nonterminals and terminals overlap: ",
+    "start symbol ",
+)
+GRAMMAR_FILES = sorted(p.name for p in DATA.glob("*") if p.suffix in (".grammar", ".kuroda"))
+GRAMMAR_LINE_EDITS = [
+    *TEXT_SYMBOLS, "", "type regular", "type kuroda", "type", "start S", "start q",
+    "nonterminals S A q", "nonterminals a", "nonterminals ->", "terminals a @", "terminals S",
+    "rule S -> q S", "rule S -> a", "rule S -> a b", "rule S -> A a", "rule S A -> C D",
+    "rule a -> b", "rule S A -> a", "rule S -> @", "rule @ -> a", "rule S ->", "rule S a",
+]
+
+
+@pytest.mark.parametrize("name", GRAMMAR_FILES)
+def test_every_single_line_edit_of_a_grammar_parses_or_names_its_line(name):
+    lines = (DATA / name).read_text().splitlines()
+    line_tied = 0
+    for i in range(len(lines)):
+        for new in GRAMMAR_LINE_EDITS:
+            edited = "\n".join([*lines[:i], new, *lines[i + 1:]]) + "\n"
+            try:
+                parse_grammar(edited)
+            except FormatError as exc:
+                msg = str(exc)
+                if exc.line is None:
+                    assert msg.startswith(WHOLE_GRAMMAR_ERRORS), (i + 1, new, msg)
+                else:
+                    assert 1 <= exc.line <= len(lines), (i + 1, new, msg)
+                    assert msg.startswith(f"line {exc.line}: "), (i + 1, new, msg)
+                    line_tied += "rule '" in msg or "bad symbol token" in msg
+    assert line_tied  # the rule and symbol-token errors are among those that name a line
 
 
 @pytest.mark.parametrize("sym", ["->", "@"])

@@ -11,6 +11,7 @@ from tgrkit import (
     RegularGrammar,
     TGRSystem,
     closure,
+    compile_kuroda,
     compile_regular,
     complexity_report,
     enumerate_language,
@@ -19,12 +20,13 @@ from tgrkit import (
     matches,
     parse_grammar,
     pipeline_language,
+    pipeline_language_pc,
     word,
 )
 from tgrkit import regcompile
 from tgrkit.dumps import SECTIONS, dump_text
 from tgrkit.grammars import Rule
-from tgrkit.tgr import InertTemplateWarning
+from tgrkit.tgr import InertTemplateWarning, System
 from tgrkit.words import make_alphabet
 
 from conftest import DATA, TEXT_SYMBOLS, load_grammar, random_regular_grammar
@@ -182,6 +184,54 @@ def test_equiv_check_rejects_negative_k_before_the_closure(astar_b, monkeypatch)
 def test_equiv_check_inconclusive_under_small_caps(astar_b):
     report = equiv_check(compile_regular(astar_b), 8, max_len=19, max_rounds=1)
     assert report.verdict == "inconclusive"
+
+
+def test_pipeline_language_decodes_only_the_words_its_filter_keeps(monkeypatch):
+    cr = compile_regular(load_grammar("ends_ab.grammar"))
+    closure_words = len(closure(cr.system, cr.base, 15, 64).language)
+    counts = {"unpack": 0, "kept": 0}
+    unpack, match = System.unpack, regcompile.matches
+
+    def counting_unpack(self, w):
+        counts["unpack"] += 1
+        return unpack(self, w)
+
+    def counting_matches(p, w):
+        kept = match(p, w)
+        counts["kept"] += kept
+        return kept
+
+    monkeypatch.setattr(System, "unpack", counting_unpack)
+    monkeypatch.setattr(regcompile, "matches", counting_matches)
+    lang, exhaustive = pipeline_language(cr, 6, max_len=15, max_rounds=64)
+    assert exhaustive and word("a a b") in lang
+    assert 0 < counts["kept"] < closure_words  # the filter drops words, so decoding all is seen
+    assert counts["unpack"] <= counts["kept"], counts
+
+
+def _decoded_then_filtered(cr, k, max_len, max_rounds):
+    """The pipeline's words from the closure's decoded language, then filtered and coded."""
+    res = closure(cr.system, cr.base, max_len, max_rounds)
+    coded = {cr.coding.apply(w) for w in res.language.words if matches(cr.filter, w)}
+    return {w for w in coded if len(w) <= k}, res.reached_fixpoint
+
+
+@pytest.mark.parametrize(
+    "name, k, max_len, max_rounds",
+    [*((name, 6, 15, 64) for name in CORPUS), ("anbn.kuroda", 4, 16, 24),
+     ("anbn.kuroda", 4, 16, 31)],
+)
+def test_evaluators_agree_with_decoding_every_closure_word(name, k, max_len, max_rounds):
+    g = load_grammar(name)
+    if name.endswith(".kuroda"):
+        cr = compile_kuroda(g)
+        got, fixpoint = pipeline_language_pc(cr, k, max_len, max_rounds)
+    else:
+        cr = compile_regular(g)
+        got, exhaustive = pipeline_language(cr, k, max_len, max_rounds)
+        fixpoint = exhaustive  # max_len is 2k+3, so only the fixpoint decides
+    want, want_fixpoint = _decoded_then_filtered(cr, k, max_len, max_rounds)
+    assert got.words == want and fixpoint == want_fixpoint
 
 
 @pytest.mark.parametrize("name", CORPUS)
