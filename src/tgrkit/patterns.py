@@ -18,7 +18,7 @@ import re
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Union as TUnion
+from typing import Iterable, Mapping, Union as TUnion
 
 from .errors import FormatError
 from .words import Word, check_symbol
@@ -141,6 +141,24 @@ def matches(p: Pattern, w: Word) -> bool:
     return p._automaton.accepts(w)
 
 
+def regex_source(p: Pattern, chars: Mapping[str, str]) -> str:
+    """A `re` source fullmatching `p`'s words spelled one character per symbol by `chars`.
+
+    A symbol `chars` lacks matches nothing.  `re` backtracks, so an ambiguous star (`{a}**`)
+    takes time exponential in a word's length; the compilers' filters parse each word one way.
+    """
+    if isinstance(p, Atom):
+        cls = "".join(sorted(re.escape(chars[s]) for s in p.symbols if s in chars))
+        return f"[{cls}]" if cls else "(?!)"  # (?!) matches nothing
+    if isinstance(p, Concat):
+        return "".join(regex_source(q, chars) for q in p.parts)
+    if isinstance(p, Star):
+        return f"(?:{regex_source(p.inner, chars)})*"
+    if isinstance(p, Union):
+        return "(?:" + "|".join(regex_source(a, chars) for a in p.alts) + ")" if p.alts else "(?!)"
+    raise TypeError(f"not a pattern: {p!r}")
+
+
 # Textual form, used by the system dump format.  Grammar:
 #   union  := concat ("|" concat)*
 #   concat := factor+
@@ -148,7 +166,7 @@ def matches(p: Pattern, w: Word) -> bool:
 #   atom   := "{" sym ("," sym)* "}" | "(" union ")"
 # Symbol tokens may not contain the delimiter characters {},()|* or spaces.
 # Parentheses and stars nest at most MAX_NESTING deep in all: the parser, the
-# automaton and pattern_text recurse once per level.
+# automaton, pattern_text and regex_source recurse once per level.
 
 MAX_NESTING = 100
 _DELIMS = set("{}(),|*")

@@ -29,7 +29,7 @@ from .ctgr import CTGRSystem, PCTemplate, tau
 from .dumps import Compiled
 from .errors import FormatError, TraceError
 from .grammars import KurodaGrammar, Rule, Verdict, derivation_steps, membership
-from .patterns import matches, seq, star, symbol_class
+from .patterns import matches, seq, star, symbol_class  # matches: a benchmark seam
 from .tgr import RecombinationEvent
 from .words import FiniteLanguage, WeakCoding, Word, sort_words, word_text
 # The benchmark times the contextual kind through these three names, looked up in this module.
@@ -304,8 +304,7 @@ def pipeline_language_pc(
     if k < 0:
         raise ValueError(f"length bound must be nonnegative, got {k}")
     res = closure_pc(cr.system, cr.base, max_len, max_rounds, max_set_size)
-    decoded = {cr.coding.apply(w) for w in res.words(lambda w: matches(cr.filter, w))}
-    out = frozenset(w for w in decoded if len(w) <= k)
+    out = frozenset(w for w in res.coded(cr.filter, cr.coding) if len(w) <= k)
     return FiniteLanguage(out, cr.grammar.terminals), res.reached_fixpoint
 
 

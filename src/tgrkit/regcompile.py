@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from .dumps import Compiled
 from .errors import FormatError
 from .grammars import RegularGrammar, enumerate_language
-from .patterns import seq, star, symbol_class, alt, matches
+from .patterns import seq, star, symbol_class, alt, matches  # matches: a benchmark seam
 from .tgr import TGRSystem, closure
 from .words import FiniteLanguage, WeakCoding, Word, sort_words
 
@@ -112,8 +112,7 @@ def pipeline_language(
     if k < 0:
         raise ValueError(f"length bound must be nonnegative, got {k}")
     res = closure(cr.system, cr.base, max_len, max_rounds, max_set_size)
-    decoded = {cr.coding.apply(w) for w in res.words(lambda w: matches(cr.filter, w))}
-    out = frozenset(w for w in decoded if len(w) <= k)
+    out = frozenset(w for w in res.coded(cr.filter, cr.coding) if len(w) <= k)
     exhaustive = res.reached_fixpoint and max_len >= 2 * k + 3
     return FiniteLanguage(out, cr.grammar.terminals), exhaustive
 

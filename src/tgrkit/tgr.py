@@ -18,16 +18,19 @@ their tuples' lengths and order, and every order a result depends on stays.
 from __future__ import annotations
 
 import math
+import re
 import warnings
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, TypeAlias
+from typing import TYPE_CHECKING, Iterable, Iterator, TypeAlias
 
 from .errors import ResourceLimitError
+from .patterns import Pattern, regex_source
 from .words import (
     Alphabet,
     FiniteLanguage,
+    WeakCoding,
     Word,
     check_symbol,
     occurrences,
@@ -420,8 +423,8 @@ def step_events(sys: System, language: FiniteLanguage) -> list[RecombinationEven
 class ClosureResult:
     """A bounded closure, its words kept packed over `system`'s alphabet and decoded when read.
 
-    `words` decodes only the words it yields; `language` decodes them all on
-    every read and keeps nothing, so a result never holds both forms.
+    `words` (in shortlex order) and `language` decode every word on each read and keep
+    nothing; `coded` decodes only the distinct images of the words its filter keeps.
     """
 
     system: System
@@ -430,19 +433,20 @@ class ClosureResult:
     reached_fixpoint: bool
     truncated_by_length: bool
 
-    def words(self, keep: Callable[[Iterator[str]], bool] | None = None) -> Iterator[Word]:
-        """The words in shortlex order; with `keep`, only those whose symbols it accepts.
-
-        `keep` reads each word's symbols once, from an iterator; no word it
-        rejects is decoded.
-        """
-        symbols = self.system._symbols.__getitem__
-        kept = self.packed if keep is None else [w for w in self.packed if keep(map(symbols, w))]
-        return map(self.system.unpack, sort_words(kept))
+    def words(self) -> Iterator[Word]:
+        return map(self.system.unpack, sort_words(self.packed))
 
     @property
     def language(self) -> FiniteLanguage:
         return FiniteLanguage(frozenset(map(self.system.unpack, self.packed)), self.system.alphabet)
+
+    def coded(self, filter: Pattern, coding: WeakCoding) -> set[Word]:
+        """The images under `coding` of the words `filter` matches, by one regex and one table."""
+        chars = self.system._chars
+        keep = re.compile(regex_source(filter, chars)).fullmatch
+        erase = {ord(c): None for s, c in chars.items() if coding.mapping.get(s, s) is None}
+        images = {w.translate(erase) for w in self.packed if keep(w)}
+        return {coding.apply(self.system.unpack(w)) for w in images}
 
 
 def _check_caps(initial: FiniteLanguage, max_len: int, max_rounds: int, max_set_size: int) -> None:

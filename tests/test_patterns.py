@@ -2,9 +2,11 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, strategies as st
 
 from tgrkit import FormatError, matches, parse_pattern, pattern_text, word
 from tgrkit.patterns import (
@@ -14,6 +16,7 @@ from tgrkit.patterns import (
     Star,
     Union,
     alt,
+    regex_source,
     seq,
     star,
     symbol_class,
@@ -106,6 +109,51 @@ def test_matches_agrees_with_backtracking_oracle():
             assert matches(p, w) == expect[w], (pattern_text(p), w)
         for w in reversed(words):
             assert matches(twin, w) == expect[w], (pattern_text(p), w)
+
+
+# Symbol i is spelled chr(i), as tgr packs a sorted alphabet: 128 symbols spell
+# every character that `re` gives a meaning, "{|}" included.
+ALPHABET = [f"s{i:03}" for i in range(128)]
+SPELLING = {s: chr(i) for i, s in enumerate(ALPHABET)}
+SPECIAL = [ALPHABET[ord(c)] for c in "\n ()*+,-.?[\\]^{|}$&#~\ta0"]
+
+
+def regex_patterns(symbols, depth=4):
+    """Patterns over `symbols` and an unspelled symbol, empty classes, unions and concats too.
+
+    Nesting stops at `depth`, as `re` backtracks: nested stars cost time exponential in depth.
+    """
+    atoms = st.frozensets(st.sampled_from([*symbols, "out"]), max_size=3).map(Atom)
+    if not depth:
+        return atoms
+    kids = regex_patterns(symbols, depth - 1)
+    parts = st.lists(kids, max_size=3).map(tuple)
+    return st.one_of(atoms, parts.map(Concat), kids.map(Star), parts.map(Union))
+
+
+@given(st.data())
+def test_regex_source_agrees_with_matches(data):
+    symbols = data.draw(st.lists(st.sampled_from(SPECIAL), min_size=1, max_size=3, unique=True))
+    p = data.draw(regex_patterns(symbols))
+    regex = re.compile(regex_source(p, SPELLING))
+    for w in (w for n in range(6) for w in itertools.product(symbols, repeat=n)):
+        spelled = "".join(SPELLING[s] for s in w)
+        assert bool(regex.fullmatch(spelled)) == matches(p, w), (pattern_text(p), w)
+
+
+@pytest.mark.parametrize("p, matched", [
+    (seq(), [()]),
+    (alt(), []),
+    (Atom(frozenset()), []),
+    (Atom(frozenset({"out"})), []),
+    (star(alt()), [()]),
+    (seq(Atom(frozenset({"out", ALPHABET[93]})), star(seq())), [(ALPHABET[93],)]),
+])
+def test_regex_source_edge_cases(p, matched):
+    words = [(), *((s,) for s in SPECIAL), tuple(SPECIAL[:3])]
+    regex = re.compile(regex_source(p, SPELLING))
+    assert [w for w in words if regex.fullmatch("".join(map(SPELLING.get, w)))] == matched
+    assert [w for w in words if matches(p, w)] == matched
 
 
 def test_pattern_text_round_trip():

@@ -7,9 +7,11 @@ import warnings
 import pytest
 
 from tgrkit import (
+    CodingDomainError,
     FormatError,
     RegularGrammar,
     TGRSystem,
+    WeakCoding,
     closure,
     compile_kuroda,
     compile_regular,
@@ -40,6 +42,8 @@ CORPUS = [
     "unreachable.grammar",
     "lambda_only.grammar",
 ]
+# Seeded `random_regular_grammar` draws (see `_grammar`) with templates and nonempty languages.
+RANDOM = ["random 3", "random 7", "random 8", "random 13"]
 
 
 def test_compile_astar_b(astar_b):
@@ -144,6 +148,14 @@ def test_bounds_hold_on_random_grammars():
         assert rep.alphabet_size == len(g.nonterminals) + len(g.terminals) + 1
 
 
+def test_equiv_check_passes_on_random_grammars():
+    rng = random.Random(2025)
+    for _ in range(100):
+        g = random_regular_grammar(rng)
+        report = equiv_check(compile_regular(g), 6, max_len=15, max_rounds=64)
+        assert report.verdict == "pass", (g.rules, report.missing, report.extra)
+
+
 @pytest.mark.parametrize("name", CORPUS)
 def test_equiv_check_corpus(name):
     g = load_grammar(name)
@@ -188,8 +200,10 @@ def test_equiv_check_inconclusive_under_small_caps(astar_b):
 
 def test_pipeline_language_decodes_only_the_words_its_filter_keeps(monkeypatch):
     cr = compile_regular(load_grammar("ends_ab.grammar"))
-    closure_words = len(closure(cr.system, cr.base, 15, 64).language)
-    counts = {"unpack": 0, "kept": 0}
+    words = closure(cr.system, cr.base, 15, 64).language.words
+    kept = [w for w in words if matches(cr.filter, w)]
+    images = {cr.coding.apply(w) for w in kept}
+    counts = {"unpack": 0, "matches": 0}
     unpack, match = System.unpack, regcompile.matches
 
     def counting_unpack(self, w):
@@ -197,16 +211,34 @@ def test_pipeline_language_decodes_only_the_words_its_filter_keeps(monkeypatch):
         return unpack(self, w)
 
     def counting_matches(p, w):
-        kept = match(p, w)
-        counts["kept"] += kept
-        return kept
+        counts["matches"] += 1
+        return match(p, w)
 
     monkeypatch.setattr(System, "unpack", counting_unpack)
     monkeypatch.setattr(regcompile, "matches", counting_matches)
     lang, exhaustive = pipeline_language(cr, 6, max_len=15, max_rounds=64)
     assert exhaustive and word("a a b") in lang
-    assert 0 < counts["kept"] < closure_words  # the filter drops words, so decoding all is seen
-    assert counts["unpack"] <= counts["kept"], counts
+    assert 0 < len(kept) < len(words)  # the filter drops words, so decoding all is seen
+    assert counts["unpack"] <= len(images) <= len(kept), counts
+    assert counts["matches"] == 0  # the filter runs as one regex over packed words
+
+
+@pytest.mark.parametrize("missing", ["b", "S", "#"])
+def test_pipeline_language_raises_on_a_kept_symbol_outside_the_coding(astar_b, missing):
+    # Every word the filter keeps holds S, b and #: S and # are erased, b is kept.
+    cr = compile_regular(astar_b)
+    mapping = {s: image for s, image in cr.coding.mapping.items() if s != missing}
+    crippled = dataclasses.replace(cr, coding=WeakCoding(mapping))
+    with pytest.raises(CodingDomainError) as exc:
+        pipeline_language(crippled, 4, max_len=11, max_rounds=16)
+    assert exc.value.symbol == missing
+
+
+def _grammar(name):
+    """A tests/data grammar, or the `random_regular_grammar` draw of seed N for "random N"."""
+    if name.startswith("random "):
+        return random_regular_grammar(random.Random(int(name.split()[1])))
+    return load_grammar(name)
 
 
 def _decoded_then_filtered(cr, k, max_len, max_rounds):
@@ -218,11 +250,11 @@ def _decoded_then_filtered(cr, k, max_len, max_rounds):
 
 @pytest.mark.parametrize(
     "name, k, max_len, max_rounds",
-    [*((name, 6, 15, 64) for name in CORPUS), ("anbn.kuroda", 4, 16, 24),
+    [*((name, 6, 15, 64) for name in CORPUS + RANDOM), ("anbn.kuroda", 4, 16, 24),
      ("anbn.kuroda", 4, 16, 31)],
 )
 def test_evaluators_agree_with_decoding_every_closure_word(name, k, max_len, max_rounds):
-    g = load_grammar(name)
+    g = _grammar(name)
     if name.endswith(".kuroda"):
         cr = compile_kuroda(g)
         got, fixpoint = pipeline_language_pc(cr, k, max_len, max_rounds)
