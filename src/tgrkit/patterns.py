@@ -5,52 +5,40 @@ the filters used by the compilers.  Matching is exact membership in the
 denoted regular set, decided by Glushkov's position automaton of the
 pattern: its positions are the atoms of the tree plus a start, and after a
 prefix of the word it stands on the set of positions that can have read
-that prefix's last symbol.  Each pattern object builds the automaton once
-and determinizes it lazily: a set of positions and a symbol give the next
-set once, and the move is kept.  Once a word's states exist, matching it
-costs two dictionary lookups per symbol, linear in its length; the kept
-moves are bounded by the reachable position sets times the symbols met.
+that prefix's last symbol.  Each call builds the automaton and steps that
+set once per symbol, so matching is linear in the word's length however
+ambiguous the pattern is.
 """
 
 from __future__ import annotations
 
 import re
-from collections import defaultdict
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Mapping, Union as TUnion
 
 from .errors import FormatError
 from .words import Word, check_symbol
 
 
-class _Node:
-    """Base of the pattern nodes: each node builds its position automaton once."""
-
-    @cached_property
-    def _automaton(self) -> _Automaton:
-        return _Automaton(self)
-
-
 @dataclass(frozen=True)
-class Atom(_Node):
+class Atom:
     """Matches any single symbol from a finite class."""
 
     symbols: frozenset[str]
 
 
 @dataclass(frozen=True)
-class Concat(_Node):
+class Concat:
     parts: tuple["Pattern", ...]
 
 
 @dataclass(frozen=True)
-class Star(_Node):
+class Star:
     inner: "Pattern"
 
 
 @dataclass(frozen=True)
-class Union(_Node):
+class Union:
     alts: tuple["Pattern", ...]
 
 
@@ -74,7 +62,7 @@ def alt(*alts: Pattern) -> Union:
 
 
 class _Automaton:
-    """Glushkov's position automaton of a pattern, determinized as words are read.
+    """Glushkov's position automaton of a pattern.
 
     Position 0 is the start; every atom of the tree is one further
     position.  A state is the set of positions that can have read the last
@@ -87,9 +75,6 @@ class _Automaton:
         nullable, first, last = self._positions(p)
         self.follow[0] = first
         self.finals = last | {0} if nullable else last
-        self.start = frozenset({0})
-        # state -> symbol -> next state, for the moves met so far
-        self.moves: defaultdict[frozenset[int], dict[str, frozenset[int]]] = defaultdict(dict)
 
     def _positions(self, p: Pattern) -> tuple[bool, set[int], set[int]]:
         """(matches the empty word, first positions, last positions) of p; fills follow."""
@@ -122,23 +107,17 @@ class _Automaton:
         raise TypeError(f"not a pattern: {p!r}")
 
     def accepts(self, w: Word) -> bool:
-        state = self.start
+        state = {0}
         for sym in w:
-            moves = self.moves[state]
-            nxt = moves.get(sym)
-            if nxt is None:  # the first time this state meets sym: make the move once
-                nxt = moves[sym] = frozenset(
-                    q for i in state for q in self.follow[i] if sym in self.symbols[q]
-                )
-            if not nxt:
+            state = {q for i in state for q in self.follow[i] if sym in self.symbols[q]}
+            if not state:
                 return False
-            state = nxt
         return not self.finals.isdisjoint(state)
 
 
 def matches(p: Pattern, w: Word) -> bool:
     """True iff `w` belongs to the regular set denoted by `p`."""
-    return p._automaton.accepts(w)
+    return _Automaton(p).accepts(w)
 
 
 def regex_source(p: Pattern, chars: Mapping[str, str]) -> str:

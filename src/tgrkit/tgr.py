@@ -171,7 +171,7 @@ class RecombinationEvent:
     w: Word
 
 
-def splits(t: Word, n1: int, n2: int) -> Iterator[tuple[Word, Word, Word]]:
+def splits(t: Word | Packed, n1: int, n2: int) -> Iterator[tuple]:
     """All decompositions t = alpha.beta.gamma with |alpha|,|gamma| >= n1, |beta| >= n2."""
     m = len(t)
     for i in range(n1, m - n1 - n2 + 1):
@@ -278,21 +278,12 @@ class _Engine:
         plan, (xcls, ycls) = self.plan, self.classes
         xids: dict[tuple, int] = {}  # x-class (x-needle, |alpha beta|, c1) -> class id
         yids: dict[tuple, int] = {}  # y-class (y-needle, |y-needle|, c2) -> class id
-        n1, n2 = sys.n1, sys.n2
         for t, (e1, body, d1, c1, c2) in zip(sys.templates, sys.packed):
-            # `splits` order; cut j alone fixes the x-class and cut i the y-class
-            end = len(body) - n1 + 1  # past the last cut j
-            xs = {}
-            for j in range(n1 + n2, end):
-                xs[j] = xids.setdefault((body[:j] + d1, j, c1), len(xids))
-            for i in range(n1, end - n2):
-                yneedle = e1 + body[i:]
-                yc = yids.setdefault((yneedle, len(yneedle), c2), len(yids))
-                alpha = body[:i]
-                for j in range(i + n2, end):
-                    plan.append((t, alpha, body[i:j], body[j:], e1))
-                    xcls.append(xs[j])
-                    ycls.append(yc)
+            for alpha, beta, gamma in splits(body, sys.n1, sys.n2):
+                plan.append((t, alpha, beta, gamma, e1))
+                xneedle, yneedle = alpha + beta + d1, e1 + beta + gamma
+                xcls.append(xids.setdefault((xneedle, len(alpha) + len(beta), c1), len(xids)))
+                ycls.append(yids.setdefault((yneedle, len(yneedle), c2), len(yids)))
         entries: list[tuple[Packed, tuple]] = []  # (needle, (side, class, cut, contexts, parts))
         self.users: list[list[list[int]]] = []  # per side, class id -> its split ids
         self.parts: tuple[list[dict], ...] = ([], [])  # per side, class id -> its parts

@@ -3,6 +3,7 @@ from __future__ import annotations
 import itertools
 import random
 import re
+import time
 from dataclasses import replace
 
 import pytest
@@ -100,15 +101,26 @@ def test_matches_agrees_with_backtracking_oracle():
     # "d" lies outside every atom of every pattern tried.
     words = universe + [word("d"), word("a d"), word("d a b"), word("a b c d")]
     for p in [random_pattern(3) for _ in range(15)] + edge_cases:
-        twin = replace(p)  # equal to p, but a distinct object with its own automaton
+        twin = replace(p)  # equal to p, but a distinct object
         assert twin == p and twin is not p
         expect = {w: naive_matches(p, w) for w in words}
         # One object matches every word twice, forward and then in reverse
-        # order, so most words run on moves kept from earlier words.
+        # order, so no answer depends on the words matched before it.
         for w in words + words[::-1]:
             assert matches(p, w) == expect[w], (pattern_text(p), w)
         for w in reversed(words):
             assert matches(twin, w) == expect[w], (pattern_text(p), w)
+
+
+@pytest.mark.parametrize("p", [star(alt(symbol_class("a"), symbol_class("a"))),
+                               star(star(symbol_class("a")))], ids=["doubled-union", "star-star"])
+def test_matches_stays_linear_on_ambiguous_stars(p):
+    # `re` over regex_source backtracks on these: seconds on 26 a's and a b.
+    # The position automaton steps one set of positions per symbol.
+    start = time.perf_counter()
+    assert not matches(p, ("a",) * 26 + ("b",))
+    assert time.perf_counter() - start < 0.5
+    assert matches(p, ("a",) * 10_000)
 
 
 # Symbol i is spelled chr(i), as tgr packs a sorted alphabet: 128 symbols spell

@@ -68,6 +68,18 @@ def test_tgr_is_kind_agnostic():
     assert "isinstance" not in calls(text)
 
 
+def test_split_enumeration_is_written_once():
+    # `recombine` and the engine both enumerate a body's splits through `splits`,
+    # so a change to which splits a template has is made in one place.
+    tree = ast.parse((SRC / "tgr.py").read_text(encoding="utf-8"))
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    (engine,) = [node for node in tree.body if isinstance(node, ast.ClassDef)
+                 and node.name == "_Engine"]
+    methods = {f.name: f for f in engine.body if isinstance(f, ast.FunctionDef)}
+    for fn in (functions["recombine"], methods["__init__"]):
+        assert "splits" in calls(ast.unparse(fn)), fn.name
+
+
 def test_dumps_and_tau_separators_stay_with_their_kind():
     # Dumps reach a kind only through its `kind` and `word`; only ctgr knows
     # the tau separators, which other modules see as `CTGRSystem.reserved`.
