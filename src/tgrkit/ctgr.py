@@ -13,6 +13,7 @@ templates normalize context sets by dropping empty words.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import groupby
 
 from .errors import FormatError
@@ -57,6 +58,7 @@ def tau(tp: PCTemplate) -> Word:
     return w
 
 
+@lru_cache(maxsize=64)  # templates share their context sets, so a few entries serve a system
 def _joined(c: frozenset[Word]) -> Word:
     """c's words in shortlex order, separated by "&"; fewer than two words need no sort."""
     if len(c) < 2:
@@ -72,10 +74,12 @@ def parse_tau(w: Word, sets: dict | None = None) -> PCTemplate:
     compiled ones do.  Assumes "#", "$" and "&" do not occur in the
     template's own symbols, which CTGRSystem enforces for its alphabet.
     """
-    marks = [i for i, s in enumerate(w) if s == HASH or s == DOLLAR]
-    if [w[i] for i in marks] != [HASH, HASH, DOLLAR, DOLLAR]:
+    h1 = h2 = d1 = d2 = -1
+    if w.count(HASH) == w.count(DOLLAR) == 2:
+        h1, d1 = w.index(HASH), w.index(DOLLAR)
+        h2, d2 = w.index(HASH, h1 + 1), w.index(DOLLAR, d1 + 1)
+    if h2 >= d1:  # not two of each mark, or a "$" before the second "#"
         raise FormatError(f"not a tau word: {word_text(w)!r}")
-    h1, h2, d1, d2 = marks
     if sets is None:
         sets = {}
     (c1, canon1), (c2, canon2) = _context(w[d1 + 1 : d2], sets), _context(w[d2 + 1 :], sets)
@@ -100,6 +104,9 @@ class CTGRSystem(System):
 
     def word(self, tp: PCTemplate) -> Word:
         return tau(tp)
+
+    def __contains__(self, tp) -> bool:
+        return isinstance(tp, PCTemplate) and super().__contains__(tp)
 
     def parts(self, tp: PCTemplate) -> Parts:
         return tp.e1, tp.body, tp.d1, tp.c1, tp.c2

@@ -8,7 +8,9 @@ templates are their system's canonical words: tau words for contextual ones.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Callable
 
 from .ctgr import CTGRSystem, parse_tau
 from .errors import FormatError
@@ -23,15 +25,24 @@ SYSTEMS = {cls.kind: cls for cls in (TGRSystem, CTGRSystem)}
 
 @dataclass(frozen=True)
 class Compiled:
-    """Either construction's output: a grammar's system, base, filter and weak coding."""
+    """Either construction's output: a grammar's system, base, filter and weak coding.
+
+    `provenance()` gives the base words' and templates' labels, which only dumps write,
+    so `base_provenance` and `template_provenance` are built on the first read.
+    """
 
     grammar: Grammar
     system: System
     base: FiniteLanguage
     filter: Pattern
     coding: WeakCoding
-    base_provenance: dict[Word, tuple[str, ...]]
-    template_provenance: dict[Word, tuple[str, ...]]
+    provenance: Callable[[], tuple[dict, dict]] = field(compare=False, repr=False)
+    base_provenance = property(lambda self: self._labels[0])
+    template_provenance = property(lambda self: self._labels[1])
+
+    @cached_property
+    def _labels(self) -> tuple[dict[Word, tuple[str, ...]], ...]:
+        return tuple({w: tuple(sorted(set(v))) for w, v in p.items()} for p in self.provenance())
 
 
 # A dump read back names no grammar, and a hand-written one may omit FILTER and CODING.
@@ -84,72 +95,80 @@ def load_dump(text: str) -> LoadedDump:
     filter_: Pattern | None = None
     coding_map: dict[str, str | None] = {}
     alphabet = template_symbols = None  # from the alphabet line; template words add reserved ones
+    template_words: list[tuple[int, Word]] = []  # (line, word), read only on the error path
 
-    for lineno, raw in enumerate(lines[1:], start=2):
-        line = raw.strip()
-        if not line:
-            continue
-        # "# " comments are honored only in the header: section bodies may
-        # legitimately start with a "#" symbol (codings, tau words).
-        if section is None and raw.startswith("# "):
-            continue
-        try:
-            if section == "END":
-                raise FormatError(f"unexpected line after END: {line!r}")
-            if line in SECTIONS or line == "END":
-                section = line
+    try:
+        for lineno, raw in enumerate(lines[1:], start=2):
+            line = raw.strip()
+            if not line:
                 continue
-            if section is None:
-                key, _, rest = line.partition(" ")
-                if key in header:
-                    raise FormatError(f"repeated header line {key!r}")
-                if key in ("n1", "n2"):
-                    if not rest.isdecimal() or int(rest) < 1:
-                        raise FormatError(f"{key} must be a positive integer, got {rest!r}")
-                    header[key] = int(rest)
-                elif key == "alphabet":
-                    header[key] = alphabet = make_alphabet(rest.split())
-                    template_symbols = alphabet | SYSTEMS[kind].reserved
-                else:
-                    raise FormatError(f"unexpected header line {line!r}")
-            elif section == "BASE":
-                w = word(line)
-                if alphabet is not None and not alphabet.issuperset(w):
-                    sym = next(s for s in w if s not in alphabet)
-                    msg = f"word {word_text(w)!r} uses symbol {sym!r} outside the alphabet"
-                    raise FormatError(msg)
-                base_words.add(w)
-            elif section == "TEMPLATES":
-                w = word(line)
-                if template_symbols is not None and not template_symbols.issuperset(w):
-                    sym = next(s for s in w if s not in template_symbols)
-                    raise FormatError(f"template symbol {sym!r} is outside the system alphabet")
-                templates.append(parse_tau(w, context_sets) if kind == "ctgr" else w)
-            elif section == "FILTER":
-                if filter_ is not None:
-                    raise FormatError("FILTER holds one pattern line, found a second")
-                filter_ = parse_pattern(line)
-            elif section == "CODING":
-                fields = line.split()
-                if len(fields) != 3 or fields[1] != "->":
-                    raise FormatError(f"bad coding line {line!r}: expected 'sym -> image'")
-                sym, _arrow, image = fields
-                if sym in coding_map:
-                    raise FormatError(f"symbol {sym!r} is coded twice")
-                if alphabet is not None and sym not in alphabet:
-                    raise FormatError(f"coding symbol {sym!r} is outside the alphabet")
-                coding_map[sym] = None if image == "@" else image
-            # PROVENANCE lines are informational only: no branch reads them.
-        except FormatError as exc:
-            raise FormatError(str(exc), line=lineno) from None
+            # "# " comments are honored only in the header: section bodies may
+            # legitimately start with a "#" symbol (codings, tau words).
+            if section is None and raw.startswith("# "):
+                continue
+            try:
+                if section == "END":
+                    raise FormatError(f"unexpected line after END: {line!r}")
+                if line in SECTIONS or line == "END":
+                    section = line
+                    continue
+                if section is None:
+                    key, _, rest = line.partition(" ")
+                    if key in header:
+                        raise FormatError(f"repeated header line {key!r}")
+                    if key in ("n1", "n2"):
+                        if not rest.isdecimal() or int(rest) < 1:
+                            raise FormatError(f"{key} must be a positive integer, got {rest!r}")
+                        header[key] = int(rest)
+                    elif key == "alphabet":
+                        header[key] = alphabet = make_alphabet(rest.split())
+                        template_symbols = alphabet | SYSTEMS[kind].reserved
+                    else:
+                        raise FormatError(f"unexpected header line {line!r}")
+                elif section == "BASE":
+                    w = word(line)
+                    if alphabet is not None and not alphabet.issuperset(w):
+                        sym = next(s for s in w if s not in alphabet)
+                        msg = f"word {word_text(w)!r} uses symbol {sym!r} outside the alphabet"
+                        raise FormatError(msg)
+                    base_words.add(w)
+                elif section == "TEMPLATES":
+                    w = word(line)
+                    template_words.append((lineno, w))
+                    templates.append(parse_tau(w, context_sets) if kind == "ctgr" else w)
+                elif section == "FILTER":
+                    if filter_ is not None:
+                        raise FormatError("FILTER holds one pattern line, found a second")
+                    filter_ = parse_pattern(line)
+                elif section == "CODING":
+                    fields = line.split()
+                    if len(fields) != 3 or fields[1] != "->":
+                        raise FormatError(f"bad coding line {line!r}: expected 'sym -> image'")
+                    sym, _arrow, image = fields
+                    if sym in coding_map:
+                        raise FormatError(f"symbol {sym!r} is coded twice")
+                    if alphabet is not None and sym not in alphabet:
+                        raise FormatError(f"coding symbol {sym!r} is outside the alphabet")
+                    coding_map[sym] = None if image == "@" else image
+                # PROVENANCE lines are informational only: no branch reads them.
+            except FormatError as exc:
+                raise FormatError(str(exc), line=lineno) from None
 
-    header.pop("alphabet", None)
-    if alphabet is None:
-        raise FormatError("dump is missing the 'alphabet' header line")
-    if section != "END":
-        raise FormatError("dump is cut off: no END line")
+        header.pop("alphabet", None)
+        if alphabet is None:
+            raise FormatError("dump is missing the 'alphabet' header line")
+        if section != "END":
+            raise FormatError("dump is cut off: no END line")
+        system = SYSTEMS[kind](templates, alphabet, **header)
+    except (FormatError, ValueError):
+        # The system checks template symbols; whatever failed, name the first bad template line.
+        for lineno, w in template_words if template_symbols is not None else ():
+            for sym in (s for s in w if s not in template_symbols):
+                msg = f"template symbol {sym!r} is outside the system alphabet"
+                raise FormatError(msg, line=lineno) from None
+        raise
     return LoadedDump(
-        system=SYSTEMS[kind](templates, alphabet, **header),
+        system=system,
         base=FiniteLanguage(frozenset(base_words), alphabet),
         filter=filter_,
         coding=WeakCoding(coding_map) if coding_map else None,

@@ -143,16 +143,10 @@ def compile_kuroda(g: KurodaGrammar) -> Compiled:
         )
     v = u | {X, XP, Y, Z, ZP} | {rotating_marker(b) for b in u}
 
-    templates: list[PCTemplate] = []  # CTGRSystem drops duplicates
-    tmpl_prov: dict[Word, set[str]] = {}
-    base_prov: dict[Word, set[str]] = {(X,) + BLOCK + (g.start, Y): {"L1 start"}}
-    for tp, label, base_label in _groups(g, sorted(u)):
-        templates.append(tp)
-        tmpl_prov.setdefault(tau(tp), set()).add(label)
-        base_prov.setdefault(partner(tp), set()).add(base_label)
-
-    system = CTGRSystem(templates=tuple(templates), alphabet=frozenset(v), n1=1, n2=1)
-    base = FiniteLanguage(frozenset(base_prov), frozenset(v))
+    groups = list(_groups(g, sorted(u)))
+    start = (X,) + BLOCK + (g.start, Y)
+    system = CTGRSystem(templates=[tp for tp, _, _ in groups], alphabet=frozenset(v), n1=1, n2=1)
+    base = FiniteLanguage(frozenset([start, *map(partner, system.templates)]), frozenset(v))
     filter_pattern = seq(star(symbol_class(g.terminals)), symbol_class({Y}))
     coding = WeakCoding({**{a: a for a in g.terminals}, Y: None})
     return Compiled(
@@ -161,9 +155,18 @@ def compile_kuroda(g: KurodaGrammar) -> Compiled:
         base=base,
         filter=filter_pattern,
         coding=coding,
-        base_provenance={w: tuple(sorted(v_)) for w, v_ in base_prov.items()},
-        template_provenance={w: tuple(sorted(v_)) for w, v_ in tmpl_prov.items()},
+        provenance=lambda: _provenance(groups, start),
     )
+
+
+def _provenance(groups: list, start: Word) -> tuple[dict, dict]:
+    """The base words' and the templates' labels, from compile_kuroda's group templates."""
+    base_prov: dict[Word, set[str]] = {start: {"L1 start"}}
+    tmpl_prov: dict[Word, set[str]] = {}
+    for tp, label, base_label in groups:  # building the system kept each one's tau word
+        tmpl_prov.setdefault(tau(tp), set()).add(label)
+        base_prov.setdefault(partner(tp), set()).add(base_label)
+    return base_prov, tmpl_prov
 
 
 def start_word(cr: Compiled) -> Word:
@@ -184,7 +187,7 @@ class SimulationTrace:
 
 def _fire(cr: Compiled, phase: str, tp: PCTemplate, form: Word, expected: Word) -> TraceEvent:
     """Re-derive the event of tp on the sentential form and its partner; never fabricate one."""
-    if tp not in cr.system.template_set:
+    if tp not in cr.system:
         raise TraceError(f"{phase}: required template {word_text(tau(tp))!r} is not in the system")
     x, y = (form, partner(tp)) if tp.c1 else (partner(tp), form)
     hits = [ev for ev in recombine_pc(cr.system, x, y, tp) if ev.w == expected]

@@ -91,8 +91,7 @@ def compile_regular(g: RegularGrammar) -> Compiled:
         base=base,
         filter=filter_pattern,
         coding=coding,
-        base_provenance={w: tuple(sorted(set(v))) for w, v in base_prov.items()},
-        template_provenance={w: tuple(sorted(set(v))) for w, v in tmpl_prov.items()},
+        provenance=lambda: (base_prov, tmpl_prov),
     )
 
 

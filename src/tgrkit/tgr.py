@@ -22,7 +22,6 @@ import re
 import warnings
 from collections import defaultdict
 from dataclasses import dataclass
-from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Iterator, TypeAlias
 
 from .errors import ResourceLimitError
@@ -90,6 +89,7 @@ class System:
             raise ValueError(f"system alphabet contains symbols that {self.kind} template words "
                              f"reserve: {sorted(clash)}")
         by_word = {self.word(t): t for t in self.templates}
+        object.__setattr__(self, "_by_word", by_word)
         object.__setattr__(self, "templates", tuple(by_word[w] for w in sort_words(by_word)))
         least = 2 * self.n1 + self.n2
         object.__setattr__(self, "_chars", {s: chr(i) for i, s in enumerate(sorted(self.alphabet))})
@@ -132,9 +132,9 @@ class System:
         """t's (e1, body, d1, c1, c2): deletion contexts, the body to split, permitting contexts."""
         raise NotImplementedError
 
-    @cached_property
-    def template_set(self) -> frozenset:
-        return frozenset(self.templates)
+    def __contains__(self, t) -> bool:
+        """Whether t is one of the templates: the one its canonical word names."""
+        return self._by_word.get(self.word(t)) == t
 
 
 @dataclass(frozen=True)
@@ -220,7 +220,7 @@ def recombine(sys: System, x: Word, y: Word, t: Word | PCTemplate) -> frozenset[
     distinct events may produce equal result words.  Empty set when no
     decomposition exists or a permitting context is missing.
     """
-    if t not in sys.template_set:
+    if t not in sys:
         raise ValueError("template is not in the system's template set")
     e1, body, d1, c1, c2 = sys.parts(t)
     sizes = {len(c) for c in c1 | c2}

@@ -477,6 +477,30 @@ def test_closure_bad_ctgr_template_is_usage_error(capsys, tmp_path, template, me
     assert message in err and len(err.strip().splitlines()) == 1
 
 
+# Only the system checks template symbols, once every line is read; the loader
+# still names the first error in file order.
+@pytest.mark.parametrize(
+    "templates, message",
+    [
+        pytest.param(("Z # a b c # q $ X $", "Z a b c # u $ X $"),
+                     "line 9: template symbol 'q' is outside the system alphabet",
+                     id="bad-symbol-then-bad-tau"),
+        pytest.param(("Z a b c # u $ X $", "Z # a b c # q $ X $"),
+                     "line 9: not a tau word: 'Z a b c # u $ X $'", id="bad-tau-then-bad-symbol"),
+        # The system packs "Z # r # $ $" first (shortlex order); the file names q first.
+        pytest.param(("Z # a b c # u $ X $", "Z # a b c # q $ X $", "Z # r # $ $"),
+                     "line 10: template symbol 'q' is outside the system alphabet",
+                     id="file-order-not-template-order"),
+    ],
+)
+def test_closure_dump_names_its_first_bad_line(capsys, tmp_path, templates, message):
+    dump = tmp_path / "d"
+    dump.write_text(ctgr_dump(*templates))
+    code, _, err = run(capsys, "closure", dump, "--max-len", 6)
+    assert code == 2
+    assert message in err and len(err.strip().splitlines()) == 1
+
+
 # Rows keep the names pytest once built from their positions and messages.
 @pytest.mark.parametrize(
     "argv, message",

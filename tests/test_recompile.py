@@ -19,6 +19,7 @@ from tgrkit import (
     parse_grammar,
     pipeline_language_pc,
     recombine,
+    recompile,
     simulate_derivation,
     soundness_check,
     tau,
@@ -38,6 +39,7 @@ from tgrkit.recompile import (
     Y,
     Z,
     ZP,
+    _groups,
     partner,
     rotatable,
     rotate_cycle,
@@ -96,6 +98,30 @@ def test_every_template_names_a_base_marker(cr):
 def test_base_is_start_word_and_template_partners(name):
     cr = compile_kuroda(load_grammar(name))
     assert cr.base.words == {start_word(cr)} | {partner(tp) for tp in cr.system.templates}
+
+
+@pytest.mark.parametrize("name", ["anbn.kuroda", "single_a.kuroda"])
+def test_provenance_groups_the_group_labels_by_tau_and_partner(name):
+    g = load_grammar(name)
+    cr = compile_kuroda(g)
+    tmpl: dict = {}
+    base: dict = {start_word(cr): {"L1 start"}}
+    for tp, label, base_label in _groups(g, sorted(rotatable(g))):
+        tmpl.setdefault(tau(tp), set()).add(label)
+        base.setdefault(partner(tp), set()).add(base_label)
+    assert cr.template_provenance == {w: tuple(sorted(v)) for w, v in tmpl.items()}
+    assert cr.base_provenance == {w: tuple(sorted(v)) for w, v in base.items()}
+
+
+def test_provenance_is_built_once_and_only_for_a_dump(monkeypatch):
+    calls = []
+    build = recompile._provenance
+    monkeypatch.setattr(recompile, "_provenance", lambda *a: calls.append(a) or build(*a))
+    cr = compile_kuroda(load_grammar("anbn.kuroda"))
+    simulate_derivation(cr, AABB_DERIVATION)
+    assert not calls
+    assert dump_text(cr) == dump_text(cr)
+    assert len(calls) == 1
 
 
 def test_compiled_templates_share_context_sets(cr):

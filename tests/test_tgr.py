@@ -14,7 +14,9 @@ from tgrkit import (
     PCTemplate,
     TGRSystem,
     closure,
+    compile_kuroda,
     derivation_trace,
+    parse_tau,
     recombine,
     step,
     tgr,
@@ -93,6 +95,27 @@ def test_recombine_requires_listed_template():
     sys = system({word("a X b")}, SIGMA)
     with pytest.raises(ValueError):
         recombine(sys, word("a b c"), word("a b c"), word("a b c"))
+
+
+@pytest.mark.parametrize("name", ["anbn.kuroda", "ends_ab.grammar"])
+def test_membership_agrees_with_a_frozenset_of_the_templates(name):
+    g = load_grammar(name)
+    sys = (compile_kuroda if name.endswith(".kuroda") else compile_regular)(g).system
+    members = frozenset(sys.templates)
+    copy = parse_tau if sys.kind == "ctgr" else lambda w: tuple(list(w))  # equal, not identical
+    symbols = sorted(sys.alphabet)
+    swap = {s: symbols[(i + 1) % len(symbols)] for i, s in enumerate(symbols)}
+    swapped = []
+    for t in sys.templates:
+        w = sys.word(t)
+        c = copy(w)
+        assert t in sys and c in sys and c == t and c is not t
+        swapped.extend(copy(w[:i] + (swap[s],) + w[i + 1 :]) for i, s in enumerate(w) if s in swap)
+    assert [t in sys for t in swapped] == [t in members for t in swapped]
+    assert sum(t not in sys for t in swapped) > len(swapped) // 2
+    # The other kind's template is no member; a plain word given to a CTGRSystem raises nothing.
+    other = word("Z a b") if sys.kind == "ctgr" else parse_tau(word("Z # a b c # $ $"))
+    assert other not in sys and other not in members
 
 
 def test_event_invariants_on_random_instances():
