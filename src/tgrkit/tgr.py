@@ -251,22 +251,29 @@ class _Engine:
     than an empty set), so a new word's part is sliced, checked and recorded
     once per class it hits.  Parts, and each round's new ones, are also kept
     by length, so a prefix meets only the suffixes that fit in max_len beside
-    it, and work follows the results kept.  The forward scan looks up a new
-    word's factors of needle lengths starting at each position, shortest
-    first; a needle index also maps each needle's stems, its prefixes at
+    it, and work follows the results kept; a round pairs only live splits,
+    whose x-class and y-class both hold parts.  A scan looks up a new word's
+    factors of needle lengths at a position, shortest first; a needle index
+    also maps each needle's stems, its prefixes (x-needles: suffixes) at
     shorter needle lengths, to no entries, so a position's lookups stop at the
     first factor that is no key.  A class's permitting contexts hold iff they
     are a subset of the word's factors of the plan's context-word lengths, one
-    set per word, built when it first hits a class with contexts.  With
-    `keep_hits` or any permitting context, the forward scan visits every
-    position in one index of both sides' needles.  Otherwise each side has its
-    own index and each scan ends at its first known part, exactly, as every
-    part of every scanned word is recorded: the forward scan reads y-needles
-    alone, and a known y-part means an earlier word ends in the same w[a:]; its
-    mirror image, the x-scan, walks needle ends right to left over suffix
-    stems, and a known x-part whose needle ends at e means an earlier word
-    starts with w[:e], so every x-needle ending by e is known.
-    On `check reg` closures index lookups fall 63%, part probes 77% (README).
+    set per word (its characters, when all have length 1), built when it
+    first hits a class with contexts.  A scan reads only where a needle can
+    be: the forward scan at the positions whose symbol starts a needle of its
+    index, and the x-scan at the ends whose symbol ends an x-needle.  With
+    `keep_hits` one forward scan reads one index of both sides' needles and
+    never stops early, as kept sources need every occurrence.  Otherwise
+    each side has its own index: the forward scan reads y-needles, and its
+    mirror image, the x-scan, reads x-needles by their end, right to left.
+    Without permitting contexts each scan also ends at its first known part,
+    exactly, as every part of every scanned word is recorded: a known y-part
+    means an earlier word ends in the same w[a:], and a known x-part whose
+    needle ends at e means an earlier word starts with w[:e], so every
+    x-needle ending by e is known.  With contexts a known part says nothing of
+    another class's contexts, so the scans go on.  Against one combined scan
+    at every position, index lookups fall 77% on `check reg` closures and 71%
+    on compiled anbn (README).
     `parts[side][class]` is a class's part dict; with `keep_hits` a part's
     value is its (word, offset) sources, the first-indexed one of its
     shortlex-least word first, else None.
@@ -284,7 +291,8 @@ class _Engine:
                 xneedle, yneedle = alpha + beta + d1, e1 + beta + gamma
                 xcls.append(xids.setdefault((xneedle, len(alpha) + len(beta), c1), len(xids)))
                 ycls.append(yids.setdefault((yneedle, len(yneedle), c2), len(yids)))
-        entries: list[tuple[Packed, tuple]] = []  # (needle, (side, class, cut, contexts, parts))
+        # per side, (needle, (side, class, cut, contexts, parts)) in class id order
+        entries: tuple[list[tuple[Packed, tuple]], ...] = ([], [])
         self.users: list[list[list[int]]] = []  # per side, class id -> its split ids
         self.parts: tuple[list[dict], ...] = ([], [])  # per side, class id -> its parts
         for side, ids in enumerate((xids, yids)):
@@ -293,12 +301,17 @@ class _Engine:
                 users[c].append(i)
             for (needle, cut, contexts), c in ids.items():  # in class id order
                 self.parts[side].append(known := {})
-                entries.append((needle, (side, c, cut, contexts, known)))
+                entries[side].append((needle, (side, c, cut, contexts, known)))
             self.users.append(users)
-        self.context_sizes = {len(c) for _, e in entries for c in e[3]}
-        split = not (keep_hits or self.context_sizes)  # else one combined scan of both sides
-        scans = [[(f, e) for f, e in entries if e[0] == s] for s in (0, 1)] if split else [entries]
+        xentries, yentries = entries
+        sizes = {len(c) for _, e in xentries + yentries for c in e[3]}  # context word lengths
+        # a word's context factors; a packed word's factors of length 1 are its characters
+        self.factors = set if sizes == {1} else lambda w: _factors(w, sizes)
+        scans = [xentries + yentries] if keep_hits else entries
         self.index, self.sizes = zip(*map(_needle_index, scans))  # per scan: index, needle lengths
+        # the symbols x-needles end with, and the forward scan's needles start with
+        self.gates = ({f[-1] for f, _ in xentries}, {f[0] for f, _ in scans[-1]})
+        self.stops = not (keep_hits or sizes)  # a scan may end at a known part
         self.by_length: Deltas = (defaultdict(dict), defaultdict(dict))  # the parts, by length
         self.keep_hits = keep_hits
         self.pairs: list[Pair] | None = None  # with keep_hits, the last run's kept pairs
@@ -306,15 +319,18 @@ class _Engine:
     def add_words(self, new: Iterable[Packed]) -> Deltas:
         """Index new words; returns the new parts of each class they touch, per side."""
         deltas: Deltas = ({}, {})
-        index, sizes, keep_hits = self.index[-1], self.sizes[-1], self.keep_hits
+        index, sizes, keep_hits, stops = self.index[-1], self.sizes[-1], self.keep_hits, self.stops
+        word_factors = self.factors
         xindex, xsizes = self.index[0], self.sizes[0]
-        split = len(self.index) == 2  # the forward scan reads y-needles alone
+        xgate, gate = self.gates
         for w in new:
             factors = None  # w's factors of context lengths, built on first need
             n = m = len(w)  # needles end by m; 0 ends the scan
-            for a in range(n):
+            for a, s in enumerate(w):
                 if not m:
                     break
+                if s not in gate:  # no needle starts with s
+                    continue
                 for size in sizes:
                     if a + size > m:
                         break
@@ -324,14 +340,14 @@ class _Engine:
                     for side, c, cut, contexts, known in entries:
                         if contexts:
                             if factors is None:
-                                factors = _factors(w, self.context_sizes)
+                                factors = word_factors(w)
                             if not contexts <= factors:
                                 continue
                         part = w[a + cut :] if side else w[: a + cut]
                         if part not in known:
                             known[part] = [] if keep_hits else None
                             deltas[side].setdefault(c, {}).setdefault(len(part), []).append(part)
-                        elif split:  # an earlier word ends in w[a:]: all later y-parts are known
+                        elif stops:  # an earlier word ends in w[a:]: all later y-parts are known
                             m = 0
                             break
                         if keep_hits:  # the shortlex-least source stays first
@@ -339,25 +355,35 @@ class _Engine:
                             sources.append((w, a))
                             if (len(w), w) < (len(sources[0][0]), sources[0][0]):
                                 sources[0], sources[-1] = sources[-1], sources[0]
-            if split:  # the x-scan: x-parts by needle end, right to left
-                b = 0  # needles start at b or later; n ends the scan
-                for e in range(n, 0, -1):
-                    if b:
+            if keep_hits:
+                continue
+            b = 0  # the x-scan, by needle end, right to left: needles start at b or later
+            for e in range(n, 0, -1):
+                if b:
+                    break
+                if w[e - 1] not in xgate:  # no x-needle ends with w[e - 1]
+                    continue
+                for size in xsizes:
+                    a = e - size
+                    if a < b:
                         break
-                    for size in xsizes:
-                        a = e - size
-                        if a < b:
-                            break
-                        entries = xindex.get(w[a:e])
-                        if entries is None:  # no x-needle ends with w[a:e]
-                            break
-                        for _, c, cut, _, known in entries:
-                            part = w[: a + cut]
-                            if part in known:  # an earlier word starts with w[:e]: all needles
+                    entries = xindex.get(w[a:e])
+                    if entries is None:  # no x-needle ends with w[a:e]
+                        break
+                    for _, c, cut, contexts, known in entries:
+                        if contexts:
+                            if factors is None:
+                                factors = word_factors(w)
+                            if not contexts <= factors:
+                                continue
+                        part = w[: a + cut]
+                        if part in known:
+                            if stops:  # an earlier word starts with w[:e]: all needles
                                 b = n  # ending by e are known
                                 break
-                            known[part] = None
-                            deltas[0].setdefault(c, {}).setdefault(len(part), []).append(part)
+                            continue
+                        known[part] = None
+                        deltas[0].setdefault(c, {}).setdefault(len(part), []).append(part)
         return deltas
 
     def run(self, deltas: Deltas, max_len: int | None) -> tuple[set[Packed], bool]:
@@ -373,9 +399,12 @@ class _Engine:
         new_p, new_s = deltas
         _merge(suffixes, new_s)  # the prefixes take this round's new ones after the pairing
         pairs = self.pairs = [] if self.keep_hits else None
-        touched = sorted({i for side in (0, 1) for c in deltas[side] for i in self.users[side][c]})
-        for i in touched:
-            xc, yc = self.classes[0][i], self.classes[1][i]
+        (xcls, ycls), (xusers, yusers) = self.classes, self.users
+        # live splits: both classes hold parts, one side's new (suffixes holds this round's)
+        live = {i for c in new_p for i in xusers[c] if ycls[i] in suffixes}
+        live.update([i for c in new_s for i in yusers[c] if xcls[i] in prefixes])
+        for i in sorted(live):
+            xc, yc = xcls[i], ycls[i]
             dp, ds = new_p.get(xc, {}), new_s.get(yc, {})
             gamma = self.plan[i][3]
             old_p = prefixes.get(xc, {}) if ds else {}

@@ -12,6 +12,7 @@ from tgrkit import (
     PCTemplate,
     TGRSystem,
     closure,
+    compile_kuroda,
     load_dump,
     parse_tau,
     recombine,
@@ -20,6 +21,7 @@ from tgrkit import (
     word,
     word_text,
 )
+from tgrkit.recompile import rotatable, rotating_marker
 from tgrkit.tgr import InertTemplateWarning, _Engine, step_events
 from tgrkit.words import make_alphabet, shortlex_key
 
@@ -374,13 +376,15 @@ def test_part_classes_keep_cuts_and_contexts_apart():
         ],
         syms,
     )
-    (index,) = _Engine(sys).index  # contexts: one index holds both sides' needles
-    xkeys = {(needle, cut, c1) for needle, entries in index.items()
+    xindex, yindex = _Engine(sys).index  # each side its own index, contexts or not
+    assert {side for entries in xindex.values() for side, *_ in entries} == {0}
+    assert {side for entries in yindex.values() for side, *_ in entries} == {1}
+    xkeys = {(needle, cut, c1) for needle, entries in xindex.items()
              for side, _, cut, c1, _ in entries if side == 0}
     packed = sys.pack  # the engine's needles are packed words
     assert len({c1 for needle, cut, c1 in xkeys if (needle, cut) == (packed(word("a b")), 2)}) == 3
     assert {cut for needle, cut, _ in xkeys if needle == packed(word("a b c"))} == {2, 3}
-    ykeys = {(needle, c2) for needle, entries in index.items()
+    ykeys = {(needle, c2) for needle, entries in yindex.items()
              for side, _, _, c2, _ in entries if side == 1}
     assert len({c2 for needle, c2 in ykeys if needle == packed(word("b a"))}) == 2
     rng = random.Random(1717)
@@ -392,6 +396,91 @@ def test_part_classes_keep_cuts_and_contexts_apart():
         assert (res.rounds_used, res.reached_fixpoint, res.truncated_by_length) == (
             r, fixpoint, truncated
         )
+
+
+def test_contextual_scans_read_only_where_a_needle_starts_or_ends(anbn):
+    # Compiled anbn's y-needles start with X, X' or Z, and its x-needles end
+    # with Y, a rotating marker, Z or Z'.  In these forms such symbols sit only
+    # at position 0 and before the end 6, so every y-lookup reads a factor
+    # starting at 0 and every x-lookup one ending at 6.  The scans still find
+    # every part that a scan of every position (kept hits) finds: after "X'"
+    # the c1 {X} of the simulate and rotate-1 classes fails, and the c2 {Y_b}
+    # of the rotate-2 classes fails in both forms.
+    sys = compile_kuroda(anbn).system
+    engine, everywhere = _Engine(sys), _Engine(sys, keep_hits=True)
+    markers = {rotating_marker(b) for b in rotatable(anbn)}
+    assert [set(sys.unpack("".join(gate))) for gate in engine.gates] == [
+        {"Y", "Z", "Z'"} | markers, {"X", "X'", "Z"}]
+    logs = ([], [])
+
+    def logged(side):
+        class Logged(dict):
+            def get(self, key, default=None):
+                logs[side].append(key)
+                return super().get(key, default)
+
+        return Logged(engine.index[side])
+
+    engine.index = (logged(0), logged(1))
+    for form in ("X B B1 B2 S Y", "X' B B1 B2 S Y"):
+        w = sys.pack(word(form))
+        deltas = engine.add_words([w])
+        everywhere.add_words([w])
+        xlog, ylog = logs
+        assert xlog and all(w.endswith(f) for f in xlog)
+        assert ylog and all(w.startswith(f) for f in ylog)
+        assert bool(deltas[0]) == form.startswith("X ")  # only there c1 {X} holds
+        for side in (0, 1):
+            assert [set(parts) for parts in engine.parts[side]] == [
+                set(parts) for parts in everywhere.parts[side]]
+        xlog.clear()
+        ylog.clear()
+
+
+def test_needles_shared_by_classes_with_different_contexts():
+    # Compiled rotate-2 templates X' b d e all have the y-needle "X d e", each
+    # with its own c2 {Y_b}.  Each system here holds such a family, sharing a
+    # y-needle, and a mirror family sharing an x-needle, each member with its
+    # own contexts of 0-2 words of lengths 1-3, beside 0-2 random templates.
+    # A part one class knows says nothing of another class's contexts, so
+    # neither scan may end there, and each must test every class it reads.
+    rng = random.Random(2929)
+    syms = ["a", "b", "c"]
+
+    def rand_word(lo, hi):
+        return tuple(rng.choices(syms, k=rng.randint(lo, hi)))
+
+    def contexts():
+        return frozenset(rand_word(1, 3) for _ in range(rng.randint(0, 2)))
+
+    grew = truncated = kept_out = 0
+    for _ in range(100):
+        head, shared = rand_word(1, 1), rand_word(2, 2)
+        e1, d1 = rand_word(0, 1), rand_word(0, 1)
+        templates = [PCTemplate(e1, head + (v,) + shared, (), contexts(), contexts())
+                     for v in syms]  # split (head v, shared[0], shared[1])
+        templates += [PCTemplate((), shared + (v,) + head, d1, contexts(), contexts())
+                      for v in syms]  # split (shared[0], shared[1], v head)
+        templates += [PCTemplate(rand_word(0, 1), rand_word(3, 5), rand_word(0, 1),
+                                 contexts(), contexts()) for _ in range(rng.randint(0, 2))]
+        sys = pc_system(templates, syms)
+        free = pc_system([PCTemplate(t.e1, t.body, t.d1, frozenset(), frozenset())
+                          for t in templates], syms)
+        words = {rand_word(2, 7) for _ in range(rng.randint(2, 5))}
+        max_len = max(map(len, words)) + rng.randint(0, 2)
+        max_rounds = rng.randint(1, 3)
+        res = closure(sys, lang(words, syms), max_len, max_rounds)
+        expect, r, fixpoint, trunc = naive_closure(
+            sys, words, max_len, max_rounds, results_by_definition
+        )
+        assert res.language.words == expect, (sorted(words), sys.templates)
+        assert (res.rounds_used, res.reached_fixpoint, res.truncated_by_length) == (
+            r, fixpoint, trunc
+        )
+        grew += len(expect) > len(words)
+        truncated += trunc
+        kept_out += expect != naive_closure(free, words, max_len, r, results_by_definition)[0]
+    assert grew >= 20 and truncated >= 10 and kept_out >= 20, (grew, truncated, kept_out)
 
 
 def results_by_definition(x, y, tp):

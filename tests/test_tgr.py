@@ -508,16 +508,17 @@ def test_engine_plan_lists_each_templates_splits_in_order(kind):
     ("plain", True, [{0, 1}], ((2,),)),
     ("no contexts", False, [{0}, {1}], ((4,), (2,))),
     ("no contexts", True, [{0, 1}], ((2, 4),)),
-    ("one context", False, [{0, 1}], ((2, 4),)),
+    ("one context", False, [{0}, {1}], ((2, 4), (2,))),
     ("one context", True, [{0, 1}], ((2, 4),)),
 ])
 def test_engine_scans_each_side_alone_without_kept_hits_or_contexts(kind, keep_hits, sides, sizes):
-    # Without kept hits or contexts each side has its own needle index, with its
-    # own needle lengths and stems: the forward scan reads the y-index, and the
-    # x-scan the x-index by needle end.  Otherwise one index holds both sides'
-    # needles for the forward scan alone.  "a b a" with d1 = "c c" has the
-    # x-needle "a b c c" and the y-needle "b a", so only a combined index has the
-    # stem "a b".
+    # Without kept hits each side has its own needle index, contexts or not,
+    # with its own needle lengths and stems: the forward scan reads the
+    # y-index, and the x-scan the x-index by needle end.  With kept hits one
+    # index holds both sides' needles for the forward scan alone.  "a b a" with
+    # d1 = "c c" has the x-needle "a b c c" and the y-needle "b a"; "b c b" has
+    # "b c" and "c b".  So a combined index has the prefix stem "a b", and the
+    # x-index of "one context" the suffix stem "c c".
     overhang = pc_template("@", "a b a", "c c")
     sys = {"plain": system({word("a b a")}, "abc"),
            "no contexts": pc_system([overhang], "abc"),
@@ -527,16 +528,30 @@ def test_engine_scans_each_side_alone_without_kept_hits_or_contexts(kind, keep_h
     assert [{side for entries in index.values() for side, *_ in entries}
             for index in engine.index] == sides
     assert engine.sizes == sizes
-    stems = [f for index in engine.index for f, entries in index.items() if not entries]
-    assert stems == ([sys.pack(word("a b"))] if sizes == ((2, 4),) else [])
+    stems = [[" ".join(sys.unpack(f)) for f, entries in index.items() if not entries]
+             for index in engine.index]
+    assert stems == {((2, 4),): [["a b"]], ((2, 4), (2,)): [["c c"], []]}.get(
+        sizes, [[]] * len(sizes))
+    # the x-scan reads only where an x-needle ends, the forward scan only
+    # where a needle of its index starts: with kept hits, x-needles too
+    gates = [sorted(sys.unpack("".join(gate))) for gate in engine.gates]
+    assert gates == {("plain", False): [["b"], ["b"]],
+                     ("plain", True): [["b"], ["a", "b"]],
+                     ("no contexts", False): [["c"], ["b"]],
+                     ("no contexts", True): [["c"], ["a", "b"]],
+                     ("one context", False): [["c"], ["b", "c"]],
+                     ("one context", True): [["c"], ["a", "b", "c"]]}[kind, keep_hits]
+    assert engine.stops == (kind != "one context" and not keep_hits)
 
 
 def test_engine_split_scans_end_at_the_first_known_part():
     # Every part of every word indexed before is recorded, so each scan of a
     # plain closure ends at its first known part.  With the template "a b a",
-    # "a b" is the x-needle and "b a" the y-needle.  After "a b a b a",
-    # "b b a b a" has the known y-part "b a" after the needle at 1, and
-    # "a b a b b" the known x-part "a b a b" before the needle ending at 4.
+    # "a b" is the x-needle and "b a" the y-needle, so the forward scan reads
+    # only the positions holding "b", and the x-scan only the ends after a "b".
+    # After "a b a b a", "b b a b a" has the known y-part "b a" after the
+    # needle at 1, so position 3 is not read, and "a b a b b" the known x-part
+    # "a b a b" before the needle ending at 4, so the end 2 is not read.
     sys = system({word("a b a")}, "ab")
     engine = tgr._Engine(sys)
     log = []
@@ -553,9 +568,11 @@ def test_engine_split_scans_end_at_the_first_known_part():
         scans.append(log[:])
         log.clear()
     # the forward scan reads the y-needles by start, the x-scan x-needles by end
-    assert scans == [["a b", "b a", "a b", "b a", "b a", "a b", "b a", "a b"],
-                     ["b b", "b a", "b a", "a b", "b a", "b b"],
-                     ["a b", "b a", "a b", "b b", "b b", "a b"]]
+    assert scans == [["b a", "b a", "a b", "a b"],
+                     ["b b", "b a", "a b", "b b"],
+                     ["b a", "b b", "b b", "a b"]]
+    assert {" ".join(sys.unpack(p)) for p in engine.parts[0][0]} == {"a b", "a b a b", "b b a b"}
+    assert {" ".join(sys.unpack(p)) for p in engine.parts[1][0]} == {"", "b a", "b b"}
 
 
 def test_derivation_trace_gives_none_for_a_target_over_max_len_before_any_round(monkeypatch):
